@@ -113,17 +113,25 @@ impl Query {
     ///
     /// # Errors
     ///
-    /// Returns a [`QueryParseError`] locating the first malformed byte.
+    /// Returns a [`QueryParseError`] locating the first malformed byte,
+    /// or [`QueryParseError::TooDeep`] when operators nest deeper than
+    /// [`MAX_QUERY_DEPTH`] — the parser recurses once per level, so the cap
+    /// bounds its stack use on untrusted input.
     pub fn from_wire(s: &str) -> Result<Query, QueryParseError> {
         let bytes = s.as_bytes();
         let mut at = 0;
-        let q = parse_query(bytes, &mut at)?;
+        let q = parse_query(bytes, &mut at, 0)?;
         if at != bytes.len() {
             return Err(QueryParseError::TrailingInput { at });
         }
         Ok(q)
     }
 }
+
+/// Deepest operator nesting [`Query::from_wire`] accepts. Composite
+/// subscriptions combine a handful of MCs; the cap exists so a hostile wire
+/// string cannot exhaust the parsing thread's stack.
+pub const MAX_QUERY_DEPTH: usize = 128;
 
 /// Why a wire-form query failed to parse ([`Query::from_wire`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +155,11 @@ pub enum QueryParseError {
         /// Byte offset of the first leftover byte.
         at: usize,
     },
+    /// Operators nested deeper than [`MAX_QUERY_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first expression past the cap.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for QueryParseError {
@@ -162,6 +175,10 @@ impl std::fmt::Display for QueryParseError {
             QueryParseError::TrailingInput { at } => {
                 write!(f, "trailing input at byte {at} after query wire form")
             }
+            QueryParseError::TooDeep { at } => write!(
+                f,
+                "query nests deeper than {MAX_QUERY_DEPTH} operators at byte {at}"
+            ),
         }
     }
 }
@@ -182,7 +199,10 @@ fn expect(bytes: &[u8], at: &mut usize, lit: &str) -> Result<(), QueryParseError
     Ok(())
 }
 
-fn parse_query(bytes: &[u8], at: &mut usize) -> Result<Query, QueryParseError> {
+fn parse_query(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Query, QueryParseError> {
+    if depth > MAX_QUERY_DEPTH {
+        return Err(QueryParseError::TooDeep { at: *at });
+    }
     match bytes.get(*at) {
         None => Err(QueryParseError::UnexpectedEnd),
         Some(b'm') => {
@@ -199,23 +219,23 @@ fn parse_query(bytes: &[u8], at: &mut usize) -> Result<Query, QueryParseError> {
         }
         Some(b'a') => {
             expect(bytes, at, "and(")?;
-            let a = parse_query(bytes, at)?;
+            let a = parse_query(bytes, at, depth + 1)?;
             expect(bytes, at, ",")?;
-            let b = parse_query(bytes, at)?;
+            let b = parse_query(bytes, at, depth + 1)?;
             expect(bytes, at, ")")?;
             Ok(a.and(b))
         }
         Some(b'o') => {
             expect(bytes, at, "or(")?;
-            let a = parse_query(bytes, at)?;
+            let a = parse_query(bytes, at, depth + 1)?;
             expect(bytes, at, ",")?;
-            let b = parse_query(bytes, at)?;
+            let b = parse_query(bytes, at, depth + 1)?;
             expect(bytes, at, ")")?;
             Ok(a.or(b))
         }
         Some(b'n') => {
             expect(bytes, at, "not(")?;
-            let q = parse_query(bytes, at)?;
+            let q = parse_query(bytes, at, depth + 1)?;
             expect(bytes, at, ")")?;
             Ok(q.not())
         }
@@ -398,5 +418,35 @@ mod tests {
         // Errors are typed and displayable, PR 6 convention.
         let err: Box<dyn std::error::Error> = Box::new(Query::from_wire("not()").unwrap_err());
         assert!(!err.to_string().is_empty());
+    }
+
+    fn nested_nots(levels: usize) -> String {
+        format!("{}mc:0{}", "not(".repeat(levels), ")".repeat(levels))
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_within_a_small_stack() {
+        // 50 000 nested `not(` used to overflow the stack and abort the
+        // process. On a 256 KiB thread the parse must come back with an
+        // error, never an abort.
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let deep = Query::from_wire(&nested_nots(50_000));
+                let at_cap = Query::from_wire(&nested_nots(MAX_QUERY_DEPTH));
+                (deep, at_cap.map(|q| q.to_wire()))
+            })
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread returned");
+        let (deep, at_cap) = parsed;
+        assert_eq!(
+            deep,
+            Err(QueryParseError::TooDeep {
+                at: 4 * (MAX_QUERY_DEPTH + 1)
+            })
+        );
+        assert_eq!(at_cap, Ok(nested_nots(MAX_QUERY_DEPTH)));
+        assert!(deep.unwrap_err().to_string().contains("deeper"));
     }
 }

@@ -206,11 +206,26 @@ impl DwGeom {
     }
 }
 
-/// Output columns processed together by the stride-1 strip kernel.
+/// Output columns processed together by the strip kernel.
 const STRIP: usize = 4;
-/// Largest kernel size the strip kernel's sliding input window supports
-/// (`STRIP + MAX_STRIP_K - 1` vector registers of input per kernel row).
-const MAX_STRIP_K: usize = 7;
+/// Longest input window any dispatched strip slides: stride 2 at `K = 5`.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+const MAX_WINDOW: usize = 2 * (STRIP - 1) + 5;
+
+/// One output row of the depthwise kernel (see [`depthwise_row`]).
+type RowKernel = fn(&[f32], &[f32], &[f32], Option<(&[f32], &[f32])>, &DwGeom, usize, &mut [f32]);
+
+/// The row kernel for kernel size `k`: specialized (`K = k`, window kept in
+/// registers, strips at strides 1 and 2) for the sizes MobileNet and the
+/// tests use, the runtime-`k` cell-at-a-time kernel (`K = 0`) otherwise.
+fn row_kernel(k: usize) -> RowKernel {
+    match k {
+        1 => depthwise_row::<1>,
+        3 => depthwise_row::<3>,
+        5 => depthwise_row::<5>,
+        _ => depthwise_row::<0>,
+    }
+}
 
 /// The shared depthwise-convolution kernel, split into **interior** and
 /// **border** output columns per row:
@@ -218,11 +233,12 @@ const MAX_STRIP_K: usize = 7;
 /// - Interior cells (tap rectangle fully inside the input in x) run a
 ///   branch-free kernel with explicit 8-wide SIMD over channels and the
 ///   accumulator held in registers across all `k²` taps — the hot path,
-///   covering almost every cell at stream resolutions. On stride-1 rows
+///   covering almost every cell at stream resolutions. At strides 1 and 2
 ///   they are processed in strips of [`STRIP`] adjacent columns whose
-///   overlapping tap windows share input loads (`STRIP + k - 1` loads per
-///   kernel row instead of `STRIP·k`) and reuse each weight load across the
-///   whole strip.
+///   overlapping tap windows share input loads (`stride·(STRIP - 1) + k`
+///   loads per kernel row instead of `STRIP·k`) and reuse each weight load
+///   across the whole strip. The kernel size is a const generic, so the
+///   tap loops unroll and the sliding window lives in registers.
 /// - Border cells (clipped by SAME padding) keep the per-cell-clipped
 ///   scalar loops.
 ///
@@ -245,9 +261,10 @@ pub(crate) fn depthwise_forward(
     out: &mut Tensor,
 ) {
     let g = DwGeom::new(geo, k);
+    let row = row_kernel(k);
     let xd = x.data();
-    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |oy, row| {
-        depthwise_row(xd, weight, bias, norm_relu_tail, &g, oy, row);
+    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |oy, out_row| {
+        row(xd, weight, bias, norm_relu_tail, &g, oy, out_row);
     });
 }
 
@@ -270,6 +287,7 @@ pub(crate) fn depthwise_forward_batch(
     out: &mut Tensor,
 ) {
     let g = DwGeom::new(geo, k);
+    let row = row_kernel(k);
     let out_h = geo.out_h;
     assert_eq!(
         x.dims(),
@@ -283,24 +301,25 @@ pub(crate) fn depthwise_forward_batch(
     );
     let xd = x.data();
     let frame_len = g.in_h * g.in_w * g.c;
-    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |r, row| {
+    ff_tensor::parallel::parallel_rows_mut(out.data_mut(), g.out_w * g.c, |r, out_row| {
         let b = r / out_h;
         let oy = r % out_h;
-        depthwise_row(
+        row(
             &xd[b * frame_len..(b + 1) * frame_len],
             weight,
             bias,
             norm_relu_tail,
             &g,
             oy,
-            row,
+            out_row,
         );
     });
 }
 
 /// One output row: border cells at the clipped fringes, interior cells in
-/// load-sharing strips (stride 1) or one at a time.
-fn depthwise_row(
+/// load-sharing strips (strides 1 and 2) or one at a time. `K` is the
+/// kernel size, or 0 for the runtime-`g.k` cell-at-a-time fallback.
+fn depthwise_row<const K: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -309,6 +328,7 @@ fn depthwise_row(
     oy: usize,
     row: &mut [f32],
 ) {
+    debug_assert!(K == 0 || K == g.k, "row kernel K={K} for k={}", g.k);
     let (k, c) = (g.k, g.c);
     let y0 = (oy * g.stride) as isize - g.pad_top as isize;
     // Vertical clip is shared by every cell of the row.
@@ -330,20 +350,25 @@ fn depthwise_row(
         );
     }
     let mut ox = g.ix_lo;
-    if g.stride == 1 && k <= MAX_STRIP_K {
-        // Row-level tap reuse: adjacent stride-1 windows overlap in k - 1
+    let strip: Option<StripKernel> = match (K, g.stride) {
+        (0, _) => None,
+        (_, 1) => Some(interior_strip::<K, 1>),
+        (_, 2) => Some(interior_strip::<K, 2>),
+        _ => None,
+    };
+    if let Some(strip) = strip {
+        // Row-level tap reuse: neighbouring windows overlap in k - stride
         // input columns, so a strip of STRIP cells shares its loads.
         while ox + STRIP <= g.ix_hi {
-            interior_strip(
+            strip(
                 xd,
                 weight,
                 bias,
                 tail,
                 &mut row[ox * c..(ox + STRIP) * c],
-                ox - g.pad_left,
+                ox * g.stride - g.pad_left,
                 y0,
                 (ky_lo, ky_hi),
-                k,
                 c,
                 g.in_w,
             );
@@ -351,7 +376,7 @@ fn depthwise_row(
         }
     }
     while ox < g.ix_hi {
-        interior_cell(
+        interior_cell::<K>(
             xd,
             weight,
             bias,
@@ -367,6 +392,20 @@ fn depthwise_row(
         ox += 1;
     }
 }
+
+/// A strip of [`STRIP`] interior cells (see [`interior_strip`]).
+type StripKernel = fn(
+    &[f32],
+    &[f32],
+    &[f32],
+    Option<(&[f32], &[f32])>,
+    &mut [f32],
+    usize,
+    isize,
+    (usize, usize),
+    usize,
+    usize,
+);
 
 /// A padding-clipped output cell: tap ranges clamped per cell, scalar
 /// accumulation over the surviving taps.
@@ -410,11 +449,12 @@ fn border_cell(
 /// a time with AVX2, the accumulator staying in a `ymm` register across all
 /// `k²` taps. Mul-then-add (`_mm256_mul_ps` + `_mm256_add_ps`, matching the
 /// scalar `acc + x·w` — rustc does not contract) keeps the result
-/// bit-identical to [`border_cell`]'s accumulation on the same taps.
+/// bit-identical to [`border_cell`]'s accumulation on the same taps. `K` is
+/// the kernel size (tap loops unrolled), or 0 to use the runtime `k`.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn interior_cell(
+fn interior_cell<const K: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -428,11 +468,25 @@ fn interior_cell(
     in_w: usize,
 ) {
     use std::arch::x86_64::*;
+    let k = if K == 0 { k } else { K };
     let simd_c = c - c % 8;
-    // SAFETY: avx2 is a compile-time target feature here; interior cells
-    // guarantee `x0 + k ≤ in_w` and the row clip guarantees
-    // `0 ≤ y0 + ky < in_h`, so every 8-lane load below is in bounds of
-    // `xd`/`weight` for channels `< simd_c ≤ c`.
+    assert!(
+        ky_lo <= ky_hi
+            && ky_hi <= k
+            && y0 + ky_lo as isize >= 0
+            && ((y0 + ky_hi as isize) as usize).saturating_sub(1) * in_w * c + (x0 + k) * c
+                <= xd.len()
+            && k * k * c <= weight.len()
+            && bias.len() >= c
+            && cell.len() == c
+            && tail.is_none_or(|(s, t)| s.len() >= c && t.len() >= c),
+        "depthwise interior cell out of bounds"
+    );
+    // SAFETY: avx2 is a compile-time target feature here. The assert above
+    // bounds every access: rows `y0 + ky` for `ky in ky_lo..ky_hi` are
+    // non-negative and their taps `x0..x0 + k` end inside `xd`; weight taps
+    // end inside `k²·c`; and every 8-lane load or store touches channels
+    // `< simd_c ≤ c`.
     unsafe {
         let mut ch = 0;
         while ch < simd_c {
@@ -476,7 +530,7 @@ fn interior_cell(
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn interior_cell(
+fn interior_cell<const K: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -489,14 +543,17 @@ fn interior_cell(
     c: usize,
     in_w: usize,
 ) {
+    let k = if K == 0 { k } else { K };
     interior_cell_scalar(xd, weight, bias, tail, cell, x0, y0, ky, k, c, in_w, 0);
 }
 
-/// A strip of [`STRIP`] adjacent **stride-1** interior cells computed
-/// together: per kernel row the `STRIP + k - 1` overlapping input vectors
-/// are loaded once and slid across the strip, and each weight vector is
-/// loaded once for all [`STRIP`] cells — versus `STRIP·k` input and
-/// `STRIP·k` weight loads for cell-at-a-time execution.
+/// A strip of [`STRIP`] adjacent interior cells at stride `S`, computed
+/// together: per kernel row the `S·(STRIP - 1) + K` input vectors the strip's
+/// windows cover are loaded once into a register window, and each weight
+/// vector is loaded once for all [`STRIP`] cells — versus `STRIP·K` input
+/// and `STRIP·K` weight loads for cell-at-a-time execution. Cell `s` reads
+/// window entries `S·s..S·s + K`; with `K` and `S` const every index is a
+/// constant after unrolling, so the window never leaves registers.
 ///
 /// Each cell's accumulator still runs `bias + Σ_ky Σ_kx x·w` in exactly the
 /// order of [`interior_cell`] (ky then kx ascending, mul-then-add, no FMA
@@ -504,7 +561,7 @@ fn interior_cell(
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn interior_strip(
+fn interior_strip<const K: usize, const S: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -513,17 +570,30 @@ fn interior_strip(
     x0: usize,
     y0: isize,
     (ky_lo, ky_hi): (usize, usize),
-    k: usize,
     c: usize,
     in_w: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(k <= MAX_STRIP_K && cells.len() == STRIP * c);
+    let window = S * (STRIP - 1) + K;
+    const { assert!(S * (STRIP - 1) + K <= MAX_WINDOW) };
     let simd_c = c - c % 8;
-    // SAFETY: avx2 is a compile-time target feature here; the caller
-    // guarantees all STRIP cells are interior (`x0 + STRIP - 1 + k ≤ in_w`)
-    // and the row clip guarantees `0 ≤ y0 + ky < in_h`, so every 8-lane
-    // load below is in bounds of `xd`/`weight` for channels `< simd_c ≤ c`.
+    assert!(
+        ky_lo <= ky_hi
+            && ky_hi <= K
+            && y0 + ky_lo as isize >= 0
+            && ((y0 + ky_hi as isize) as usize).saturating_sub(1) * in_w * c + (x0 + window) * c
+                <= xd.len()
+            && K * K * c <= weight.len()
+            && bias.len() >= c
+            && cells.len() == STRIP * c
+            && tail.is_none_or(|(s, t)| s.len() >= c && t.len() >= c),
+        "depthwise strip out of bounds"
+    );
+    // SAFETY: avx2 is a compile-time target feature here. The assert above
+    // bounds every access: rows `y0 + ky` for `ky in ky_lo..ky_hi` are
+    // non-negative and the strip's window `x0..x0 + window` ends inside
+    // `xd`; weight taps end inside `K²·c`; and every 8-lane load or store
+    // touches channels `< simd_c ≤ c` of a cell inside `cells`.
     unsafe {
         let mut ch = 0;
         while ch < simd_c {
@@ -533,15 +603,15 @@ fn interior_strip(
                 let y = (y0 + ky as isize) as usize;
                 let xrow = xd.as_ptr().add((y * in_w + x0) * c + ch);
                 // One sliding window of input vectors for the whole strip.
-                let mut xv = [_mm256_setzero_ps(); STRIP + MAX_STRIP_K - 1];
-                for (i, v) in xv.iter_mut().enumerate().take(STRIP + k - 1) {
+                let mut xv = [_mm256_setzero_ps(); MAX_WINDOW];
+                for (i, v) in xv.iter_mut().enumerate().take(window) {
                     *v = _mm256_loadu_ps(xrow.add(i * c));
                 }
-                let wrow = weight.as_ptr().add(ky * k * c + ch);
-                for kx in 0..k {
+                let wrow = weight.as_ptr().add(ky * K * c + ch);
+                for kx in 0..K {
                     let wv = _mm256_loadu_ps(wrow.add(kx * c));
                     for (s, a) in acc.iter_mut().enumerate() {
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv[s + kx], wv));
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv[S * s + kx], wv));
                     }
                 }
             }
@@ -566,10 +636,10 @@ fn interior_strip(
             bias,
             tail,
             &mut cells[s * c..(s + 1) * c],
-            x0 + s,
+            x0 + S * s,
             y0,
             (ky_lo, ky_hi),
-            k,
+            K,
             c,
             in_w,
             simd_c,
@@ -582,7 +652,7 @@ fn interior_strip(
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn interior_strip(
+fn interior_strip<const K: usize, const S: usize>(
     xd: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -591,21 +661,20 @@ fn interior_strip(
     x0: usize,
     y0: isize,
     ky: (usize, usize),
-    k: usize,
     c: usize,
     in_w: usize,
 ) {
     for s in 0..STRIP {
-        interior_cell(
+        interior_cell::<K>(
             xd,
             weight,
             bias,
             tail,
             &mut cells[s * c..(s + 1) * c],
-            x0 + s,
+            x0 + S * s,
             y0,
             ky,
-            k,
+            K,
             c,
             in_w,
         );
@@ -780,6 +849,7 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ff_tensor::{Conv2dGeometry, Padding};
 
     #[test]
     fn channels_do_not_mix() {
@@ -850,15 +920,79 @@ mod tests {
         }
     }
 
+    /// Naive depthwise reference: same tap order, same mul-then-add.
+    fn naive_depthwise(
+        x: &Tensor,
+        geo: &Conv2dGeometry,
+        k: usize,
+        weight: &[f32],
+        bias: &[f32],
+        tail: Option<(&[f32], &[f32])>,
+    ) -> Tensor {
+        let (h, w, c) = (geo.in_h, geo.in_w, geo.in_c);
+        let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
+        for oy in 0..geo.out_h {
+            for ox in 0..geo.out_w {
+                for ch in 0..c {
+                    let mut acc = bias[ch];
+                    for ky in 0..k {
+                        let y = (oy * geo.stride + ky) as isize - geo.pad_top as isize;
+                        if y < 0 || y >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let xx = (ox * geo.stride + kx) as isize - geo.pad_left as isize;
+                            if xx < 0 || xx >= w as isize {
+                                continue;
+                            }
+                            acc +=
+                                x.at3(y as usize, xx as usize, ch) * weight[(ky * k + kx) * c + ch];
+                        }
+                    }
+                    if let Some((s, t)) = tail {
+                        acc = (acc * s[ch] + t[ch]).max(0.0);
+                    }
+                    want.data_mut()[(oy * geo.out_w + ox) * c + ch] = acc;
+                }
+            }
+        }
+        want
+    }
+
+    /// Runs the kernel on random data at `(h, w, c, k, stride)`, with and
+    /// without the fused tail, against [`naive_depthwise`].
+    fn check_against_naive(h: usize, w: usize, c: usize, k: usize, stride: usize) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let x = Tensor::from_vec(
+            vec![h, w, c],
+            (0..h * w * c).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        );
+        let weight: Vec<f32> = (0..k * k * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bias: Vec<f32> = (0..c).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.5..1.5)).collect();
+        let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
+        for tail in [None, Some((&scale[..], &shift[..]))] {
+            let mut got = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
+            depthwise_forward(&x, &geo, k, &weight, &bias, tail, &mut got);
+            let want = naive_depthwise(&x, &geo, k, &weight, &bias, tail);
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "h{h} w{w} c{c} k{k} s{stride} tail={}",
+                tail.is_some()
+            );
+        }
+    }
+
     #[test]
     fn interior_border_split_matches_naive_reference_bit_for_bit() {
-        use ff_tensor::{Conv2dGeometry, Padding};
-        use rand::{Rng, SeedableRng};
         // Geometries chosen to hit every path: channel counts off the
         // 8-lane SIMD width (scalar tail), widths where interior is empty,
-        // strides > 1, kernels larger than the input, and stride-1 rows
-        // wide enough for the load-sharing strip kernel (full strips, strip
-        // remainders, and multi-strip rows).
+        // strides > 1, kernels larger than the input, and rows wide enough
+        // for the load-sharing strip kernel (full strips, strip remainders,
+        // and multi-strip rows).
         for &(h, w, c, k, stride) in &[
             (9usize, 7usize, 5usize, 3usize, 1usize),
             (8, 11, 8, 3, 2),
@@ -868,61 +1002,29 @@ mod tests {
             (2, 2, 9, 5, 1),   // kernel larger than input
             (7, 16, 8, 3, 1),  // three strips + remainder
             (6, 13, 12, 5, 1), // k=5 strips, ragged channels
-            (5, 14, 4, 7, 1),  // k=MAX_STRIP_K, two strips
+            (5, 14, 4, 7, 1),  // runtime-k fallback, cell at a time
         ] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-            let x = Tensor::from_vec(
-                vec![h, w, c],
-                (0..h * w * c).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            );
-            let weight: Vec<f32> = (0..k * k * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let bias: Vec<f32> = (0..c).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let scale: Vec<f32> = (0..c).map(|_| rng.gen_range(0.5..1.5)).collect();
-            let shift: Vec<f32> = (0..c).map(|_| rng.gen_range(-0.5..0.5)).collect();
-            let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
-            for tail in [None, Some((&scale[..], &shift[..]))] {
-                let mut got = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
-                depthwise_forward(&x, &geo, k, &weight, &bias, tail, &mut got);
-                // Naive reference: same tap order, same mul-then-add.
-                let mut want = Tensor::zeros(vec![geo.out_h, geo.out_w, c]);
-                for oy in 0..geo.out_h {
-                    for ox in 0..geo.out_w {
-                        for ch in 0..c {
-                            let mut acc = bias[ch];
-                            for ky in 0..k {
-                                let y = (oy * stride + ky) as isize - geo.pad_top as isize;
-                                if y < 0 || y >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let xx = (ox * stride + kx) as isize - geo.pad_left as isize;
-                                    if xx < 0 || xx >= w as isize {
-                                        continue;
-                                    }
-                                    acc += x.at3(y as usize, xx as usize, ch)
-                                        * weight[(ky * k + kx) * c + ch];
-                                }
-                            }
-                            if let Some((s, t)) = tail {
-                                acc = (acc * s[ch] + t[ch]).max(0.0);
-                            }
-                            want.data_mut()[(oy * geo.out_w + ox) * c + ch] = acc;
-                        }
-                    }
+            check_against_naive(h, w, c, k, stride);
+        }
+    }
+
+    #[test]
+    fn specialized_and_fallback_kernels_match_naive_reference_bit_for_bit() {
+        // The const-K row kernels (K = 1, 3, 5, with strips at strides 1
+        // and 2) and the runtime-k fallback (even and large k), at channel
+        // counts that are not multiples of 8 and widths that leave strip
+        // remainders at both strides.
+        for k in [1, 2, 3, 4, 5, 7] {
+            for stride in [1, 2, 3] {
+                for c in [5, 13, 20] {
+                    check_against_naive(7, 23, c, k, stride);
                 }
-                assert_eq!(
-                    got.data(),
-                    want.data(),
-                    "h{h} w{w} c{c} k{k} s{stride} tail={}",
-                    tail.is_some()
-                );
             }
         }
     }
 
     #[test]
     fn batched_kernel_matches_per_frame_bit_for_bit() {
-        use ff_tensor::{Conv2dGeometry, Padding};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         for &(h, w, c, k, stride, batch) in &[

@@ -14,8 +14,9 @@
 //! streaming inference only.
 
 use ff_tensor::{
-    col2im, gemm_fused, im2col_batch_into, im2col_into, matmul_transpose_a, matmul_transpose_b,
-    Conv2dGeometry, Epilogue, PackedPanels, Padding, Precision, Tensor, Workspace,
+    col2im, gemm_fused, im2col_batch_into, im2col_gemm_streamed, im2col_into, matmul_transpose_a,
+    matmul_transpose_b, Conv2dGeometry, Epilogue, PackedPanels, Padding, Precision, Tensor,
+    Workspace,
 };
 use rand::SeedableRng;
 
@@ -153,13 +154,22 @@ impl ConvBnRelu {
         )
     }
 
-    /// Runs the convolution into `out` (shape `[positions, out_c]`) with the
-    /// requested epilogue, returning the im2col matrix when `keep_cols`.
-    /// Uses the pre-packed weight panels when `prepacked` (inference).
+    /// Runs the convolution over `batch` frames (`x` is one `[h, w, c]`
+    /// frame or `[batch, h, w, c]` stacked frames) into `out` (shape
+    /// `[batch·positions, out_c]`) with the requested epilogue, returning
+    /// the im2col matrix when `keep_cols`. Uses the pre-packed weight panels
+    /// when `prepacked` (inference).
+    ///
+    /// The patch matrix is materialized only when training needs it back
+    /// (`keep_cols`) or when the layer is too wide to stream it: a stem-like
+    /// unit (`k > 1`, at most [`STREAMED_MAX_IN_C`] input channels) gathers
+    /// its patches tile by tile into L1 instead
+    /// ([`ff_tensor::im2col_gemm_streamed`]), bit-identically.
     #[allow(clippy::too_many_arguments)]
     fn run_gemm(
         &self,
         x: &Tensor,
+        batch: usize,
         geo: &Conv2dGeometry,
         out: &mut Tensor,
         ep: Epilogue,
@@ -167,9 +177,9 @@ impl ConvBnRelu {
         keep_cols: bool,
         prepacked: bool,
     ) -> Option<Tensor> {
-        let positions = geo.positions();
+        let rows = batch * geo.positions();
         let fan_in = geo.fan_in();
-        // Whole-int8 inference: quantize the frame once and gather straight
+        // Whole-int8 inference: quantize each frame once and gather straight
         // into a u8 buffer, with the folded-norm epilogue fused into the
         // int8 GEMM's dequant pass (train/calibration never take this
         // branch — they run `prepacked == false`).
@@ -177,7 +187,7 @@ impl ConvBnRelu {
             debug_assert!(!keep_cols, "whole-int8 path is inference-only");
             crate::layers::int8act::forward_int8act(
                 x.data(),
-                1,
+                batch,
                 geo,
                 &self.packed_weights,
                 out.data_mut(),
@@ -186,29 +196,28 @@ impl ConvBnRelu {
             );
             return None;
         }
-        let run = |a: &[f32], out: &mut [f32]| {
+        let run = |a: &[f32], out: &mut [f32], m: usize| {
             if prepacked {
-                self.packed_weights
-                    .gemm(a, out, positions, fan_in, self.out_c, ep);
+                self.packed_weights.gemm(a, out, m, fan_in, self.out_c, ep);
             } else {
-                gemm_fused(
-                    a,
-                    self.weight.value.data(),
-                    out,
-                    positions,
-                    fan_in,
-                    self.out_c,
-                    ep,
-                );
+                gemm_fused(a, self.weight.value.data(), out, m, fan_in, self.out_c, ep);
             }
         };
         if self.k == 1 && self.stride == 1 {
-            run(x.data(), out.data_mut());
-            keep_cols.then(|| x.clone().reshape(vec![positions, self.in_c]))
+            // Stacked HWC frames are already the stacked im2col matrix.
+            run(x.data(), out.data_mut(), rows);
+            keep_cols.then(|| x.clone().reshape(vec![rows, self.in_c]))
+        } else if !keep_cols && self.in_c <= STREAMED_MAX_IN_C {
+            im2col_gemm_streamed(x.data(), batch, geo, out.data_mut(), self.out_c, run);
+            None
         } else {
-            let mut cols = ws.take(&[positions, fan_in]);
-            im2col_into(x, geo, &mut cols);
-            run(cols.data(), out.data_mut());
+            let mut cols = ws.take(&[rows, fan_in]);
+            if x.rank() == 3 {
+                im2col_into(x, geo, &mut cols);
+            } else {
+                im2col_batch_into(x, batch, geo, &mut cols);
+            }
+            run(cols.data(), out.data_mut(), rows);
             if keep_cols {
                 Some(cols)
             } else {
@@ -218,6 +227,13 @@ impl ConvBnRelu {
         }
     }
 }
+
+/// Widest input (channels) a `k > 1` [`ConvBnRelu`] streams its im2col
+/// patches for instead of materializing them. A stem's patch matrix is
+/// large next to its GEMM work (27 taps per output row for RGB 3×3), and
+/// its weight panels fit in L1, so re-reading them once per gathered tile
+/// is free; deeper convolutions have the opposite balance.
+const STREAMED_MAX_IN_C: usize = 4;
 
 impl Layer for ConvBnRelu {
     fn layer_type(&self) -> &'static str {
@@ -241,7 +257,7 @@ impl Layer for ConvBnRelu {
                 scale_shift: Some((&self.norm.scale, &self.norm.shift)),
                 relu: true,
             };
-            self.run_gemm(x, &geo, &mut out, ep, ws, false, true);
+            self.run_gemm(x, 1, &geo, &mut out, ep, ws, false, true);
         } else {
             // Training: stage at pre-ReLU so backward can mask exactly.
             let ep = Epilogue {
@@ -250,7 +266,7 @@ impl Layer for ConvBnRelu {
                 relu: false,
             };
             let cols = self
-                .run_gemm(x, &geo, &mut out, ep, ws, true, false)
+                .run_gemm(x, 1, &geo, &mut out, ep, ws, true, false)
                 .expect("train path keeps cols");
             let pre_relu = out.clone();
             for v in out.data_mut() {
@@ -266,13 +282,10 @@ impl Layer for ConvBnRelu {
         assert!(batch > 0, "empty batch");
         assert_eq!(x.rank(), 4, "batched ConvBnRelu expects [B, H, W, C]");
         let geo = self.geometry(&x.dims()[1..]);
-        let positions = geo.positions();
-        let fan_in = geo.fan_in();
-        let rows = batch * positions;
         // The whole unit for the whole batch in one pass: a single
-        // `gemm_prepacked` over the stacked im2col matrix streams each
-        // packed weight panel once per *batch* instead of once per frame —
-        // the panel-reuse amortization that motivates batching. Per-row
+        // prepacked GEMM over the stacked im2col rows streams each packed
+        // weight panel once per *batch* instead of once per frame — the
+        // panel-reuse amortization that motivates batching. Per-row
         // accumulation order and the fused epilogue are unchanged, so each
         // frame's slice is bit-identical to the single-frame inference path.
         self.ensure_packed();
@@ -281,30 +294,8 @@ impl Layer for ConvBnRelu {
             scale_shift: Some((&self.norm.scale, &self.norm.shift)),
             relu: true,
         };
-        let mut out = ws.take(&[rows, self.out_c]);
-        if self.packed_weights.precision() == Precision::Int8Act {
-            // Whole-int8 batch: per-frame quantization + u8 gather into
-            // consecutive row ranges, one GEMM for the whole batch.
-            crate::layers::int8act::forward_int8act(
-                x.data(),
-                batch,
-                &geo,
-                &self.packed_weights,
-                out.data_mut(),
-                self.out_c,
-                ep,
-            );
-        } else if self.k == 1 && self.stride == 1 {
-            // Stacked HWC frames are already the stacked im2col matrix.
-            self.packed_weights
-                .gemm(x.data(), out.data_mut(), rows, self.in_c, self.out_c, ep);
-        } else {
-            let mut cols = ws.take(&[rows, fan_in]);
-            im2col_batch_into(x, batch, &geo, &mut cols);
-            self.packed_weights
-                .gemm(cols.data(), out.data_mut(), rows, fan_in, self.out_c, ep);
-            ws.recycle(cols);
-        }
+        let mut out = ws.take(&[batch * geo.positions(), self.out_c]);
+        self.run_gemm(x, batch, &geo, &mut out, ep, ws, false, true);
         out.reshape_to(&[batch, geo.out_h, geo.out_w, self.out_c]);
         out
     }
@@ -391,7 +382,7 @@ impl Layer for ConvBnRelu {
                     bias: Some(self.bias.value.data()),
                     ..Epilogue::default()
                 };
-                self.run_gemm(x, &geo, &mut out, ep, &mut ws, false, false);
+                self.run_gemm(x, 1, &geo, &mut out, ep, &mut ws, false, false);
                 out.reshape_to(&[geo.out_h, geo.out_w, self.out_c]);
                 out
             })
@@ -820,6 +811,50 @@ mod tests {
                 - unit.forward(&xm, Phase::Inference).sum())
                 / (2.0 * eps);
             assert!((num - dx.data()[i]).abs() < 2e-2, "dx[{i}]");
+        }
+    }
+
+    #[test]
+    fn stem_matches_materialized_im2col_gemm_bit_for_bit() {
+        use ff_tensor::{im2col_batch_into, Padding};
+        // An RGB 3×3 stride-2 stem streams its patches; the reference
+        // lowers the whole im2col matrix and runs one GEMM with the same
+        // fused epilogue. Odd sizes put SAME padding on every border.
+        let mut stem = ConvBnRelu::new(3, 2, 3, 20, 5);
+        let _ = stem.calibrate((0..2).map(|i| random(vec![13, 11, 3], 70 + i)).collect());
+        for &(h, w) in &[(13usize, 11usize), (9, 16), (5, 3)] {
+            for batch in [1usize, 3] {
+                let frames: Vec<Tensor> = (0..batch)
+                    .map(|b| random(vec![h, w, 3], (h * w + b) as u64))
+                    .collect();
+                let stacked = Tensor::from_vec(
+                    vec![batch, h, w, 3],
+                    frames.iter().flat_map(|f| f.data().to_vec()).collect(),
+                );
+                let geo = Conv2dGeometry::resolve((h, w, 3), (3, 3), 2, Padding::Same);
+                let rows = batch * geo.positions();
+                let mut cols = Tensor::zeros(vec![rows, geo.fan_in()]);
+                im2col_batch_into(&stacked, batch, &geo, &mut cols);
+                let mut want = vec![0.0; rows * 20];
+                let ep = Epilogue {
+                    bias: Some(stem.bias.value.data()),
+                    scale_shift: Some((&stem.norm.scale, &stem.norm.shift)),
+                    relu: true,
+                };
+                let wts = stem.weight.value.data().to_vec();
+                gemm_fused(cols.data(), &wts, &mut want, rows, geo.fan_in(), 20, ep);
+                let got = stem.forward_batch_ws(&stacked, batch, &mut Workspace::new());
+                assert_eq!(got.data(), &want[..], "{h}x{w} B={batch}");
+                let per_frame = geo.positions() * 20;
+                for (b, f) in frames.iter().enumerate() {
+                    let single = stem.forward(f, Phase::Inference);
+                    assert_eq!(
+                        single.data(),
+                        &want[b * per_frame..(b + 1) * per_frame],
+                        "{h}x{w} frame {b} alone"
+                    );
+                }
+            }
         }
     }
 

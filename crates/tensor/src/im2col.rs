@@ -4,7 +4,8 @@
 //! GEMM: `im2col(x) [out_h·out_w, kh·kw·C] · W [kh·kw·C, F]`. The backward
 //! pass uses [`col2im`] to scatter column gradients back into image space.
 
-use crate::parallel::parallel_rows_mut;
+use crate::matmul::MIN_ELEMS_FOR_THREADS;
+use crate::parallel::{parallel_row_blocks_mut, parallel_rows_mut, threads};
 use crate::Tensor;
 
 /// Padding policy for convolution-like ops.
@@ -169,9 +170,119 @@ pub fn im2col_batch_into(x: &Tensor, batch: usize, geo: &Conv2dGeometry, out: &m
     });
 }
 
+/// Floats in the stack tile [`im2col_gemm_streamed`] gathers patch rows
+/// into: 16 KiB, so the tile and the rows the GEMM writes from it stay in
+/// L1.
+const STREAM_TILE: usize = 4096;
+
+/// A convolution's GEMM over `batch` stacked HWC frames (`x: [batch, in_h,
+/// in_w, in_c]`, frames contiguous) **without materializing the im2col
+/// matrix**: each worker gathers a few patch rows at a time into a stack
+/// tile (zeros for SAME-padding taps, exactly as [`im2col_batch_into`]
+/// writes them) and hands the tile to `gemm(tile, out_rows, rows)`, which
+/// must compute `out_rows[rows × n] = tile[rows × fan_in] · W`.
+///
+/// Every output row sees the same patch values a materialized matrix would
+/// hold, and GEMM rows are independent, so the result is bit-identical to
+/// `im2col_batch_into` followed by one GEMM over the whole matrix — for
+/// any thread count. What it saves is the matrix's round trip through
+/// memory: for a 3-channel stem, the `rows × 27` matrix is ~7 MB per
+/// 2-frame 480×270 batch, written and read once each, while its useful
+/// work is a few hundred FLOPs per row. Worth it only where `fan_in · n` is
+/// small (a stem conv: few input channels); deep convolutions would
+/// re-stream their weight panels once per tile.
+///
+/// # Panics
+///
+/// Panics if `x` or `out` do not match `geo`, `batch` and `n`, or if one
+/// patch row (`fan_in`) does not fit the tile.
+pub fn im2col_gemm_streamed(
+    x: &[f32],
+    batch: usize,
+    geo: &Conv2dGeometry,
+    out: &mut [f32],
+    n: usize,
+    gemm: impl Fn(&[f32], &mut [f32], usize) + Sync,
+) {
+    let positions = geo.positions();
+    let fan_in = geo.fan_in();
+    assert_eq!(
+        x.len(),
+        batch * geo.in_h * geo.in_w * geo.in_c,
+        "streamed im2col input shape"
+    );
+    assert_eq!(
+        out.len(),
+        batch * positions * n,
+        "streamed im2col output shape"
+    );
+    assert!(
+        (1..=STREAM_TILE).contains(&fan_in),
+        "streamed im2col: fan_in {fan_in} outside 1..={STREAM_TILE}"
+    );
+    // Whole micro-kernel tiles per gather where at least one fits.
+    let tile_rows = match STREAM_TILE / fan_in {
+        r if r >= 8 => r - r % 4,
+        r => r,
+    };
+    let rows = batch * positions;
+    let t = if rows * n >= MIN_ELEMS_FOR_THREADS {
+        threads()
+    } else {
+        1
+    };
+    parallel_row_blocks_mut(out, n, t, |row0, block| {
+        let mut tile = [0.0f32; STREAM_TILE];
+        for (i, out_rows) in block.chunks_mut(tile_rows * n).enumerate() {
+            let first = row0 + i * tile_rows;
+            let m = out_rows.len() / n;
+            let a = &mut tile[..m * fan_in];
+            gather_patches(x, geo, first, a);
+            gemm(a, out_rows, m);
+        }
+    });
+}
+
+/// Fills `tile` with consecutive rows of the stacked im2col matrix of
+/// `x` (frames of `geo`'s input shape), starting at row `first`. Patches
+/// that SAME padding does not clip — nearly all of them — are `kh` straight
+/// span copies from the frame; the rest take [`fill_patch`].
+fn gather_patches(x: &[f32], geo: &Conv2dGeometry, first: usize, tile: &mut [f32]) {
+    let (in_w, c) = (geo.in_w, geo.in_c);
+    let frame_len = geo.in_h * in_w * c;
+    let (span, row_stride) = (geo.kw * c, in_w * c);
+    let positions = geo.positions();
+    let (mut b, pos) = (first / positions, first % positions);
+    let (mut oy, mut ox) = (pos / geo.out_w, pos % geo.out_w);
+    for patch in tile.chunks_exact_mut(geo.fan_in()) {
+        let y0 = (oy * geo.stride) as isize - geo.pad_top as isize;
+        let x0 = (ox * geo.stride) as isize - geo.pad_left as isize;
+        let inside =
+            y0 >= 0 && x0 >= 0 && y0 as usize + geo.kh <= geo.in_h && x0 as usize + geo.kw <= in_w;
+        if inside {
+            let base = b * frame_len + (y0 as usize * in_w + x0 as usize) * c;
+            let src = &x[base..base + (geo.kh - 1) * row_stride + span];
+            for (ky, dst) in patch.chunks_exact_mut(span).enumerate() {
+                copy_span(dst, &src[ky * row_stride..ky * row_stride + span]);
+            }
+        } else {
+            fill_patch(&x[b * frame_len..(b + 1) * frame_len], geo, oy, ox, patch);
+        }
+        ox += 1;
+        if ox == geo.out_w {
+            ox = 0;
+            oy += 1;
+            if oy == geo.out_h {
+                oy = 0;
+                b += 1;
+            }
+        }
+    }
+}
+
 /// Fills one im2col row (`fan_in` taps of output position `pos`) from one
-/// frame's HWC data. Shared by the single-frame and batched lowerings so the
-/// two can never diverge.
+/// frame's HWC data. Shared by the single-frame, batched and streamed
+/// lowerings so they can never diverge.
 ///
 /// The `kw` taps of one kernel row are adjacent input columns, which in HWC
 /// layout are **contiguous** memory — so each kernel row is written as one
@@ -181,10 +292,14 @@ pub fn im2col_batch_into(x: &Tensor, batch: usize, geo: &Conv2dGeometry, out: &m
 /// bound-check and call overhead.
 #[inline]
 fn fill_patch_row(xd: &[f32], geo: &Conv2dGeometry, pos: usize, row: &mut [f32]) {
+    fill_patch(xd, geo, pos / geo.out_w, pos % geo.out_w, row);
+}
+
+/// [`fill_patch_row`] for output cell `(oy, ox)`.
+#[inline]
+fn fill_patch(xd: &[f32], geo: &Conv2dGeometry, oy: usize, ox: usize, row: &mut [f32]) {
     let (w, c) = (geo.in_w, geo.in_c);
     let row_c = geo.kw * c; // one kernel row of taps
-    let oy = pos / geo.out_w;
-    let ox = pos % geo.out_w;
     let y0 = (oy * geo.stride) as isize - geo.pad_top as isize;
     let x0 = (ox * geo.stride) as isize - geo.pad_left as isize;
     // Horizontal clip is shared by every kernel row of the position.
@@ -205,8 +320,24 @@ fn fill_patch_row(xd: &[f32], geo: &Conv2dGeometry, pos: usize, row: &mut [f32])
             (base + kx_lo as isize) as usize,
             (base + kx_hi as isize) as usize,
         );
-        dst[kx_lo * c..kx_hi * c].copy_from_slice(&xd[lo * c..hi * c]);
+        copy_span(&mut dst[kx_lo * c..kx_hi * c], &xd[lo * c..hi * c]);
         dst[kx_hi * c..].fill(0.0);
+    }
+}
+
+/// Copies one kernel row's taps — a short span (9 floats for an RGB 3×3
+/// stem) — in register-sized moves instead of a `memcpy` call.
+#[inline(always)]
+fn copy_span(dst: &mut [f32], src: &[f32]) {
+    let n = dst.len();
+    let mut i = 0;
+    while i + 8 <= n {
+        dst[i..i + 8].copy_from_slice(&src[i..i + 8]);
+        i += 8;
+    }
+    while i < n {
+        dst[i] = src[i];
+        i += 1;
     }
 }
 
@@ -332,6 +463,53 @@ mod tests {
         let g = Conv2dGeometry::resolve((4, 4, 1), (3, 3), 2, Padding::Same);
         assert_eq!((g.out_h, g.out_w), (2, 2));
         assert_eq!((g.pad_top, g.pad_left), (0, 0));
+    }
+
+    #[test]
+    fn streamed_gemm_matches_materialized_im2col_bit_for_bit() {
+        use crate::matmul::gemm_fused;
+        use crate::Epilogue;
+        use rand::{Rng, SeedableRng};
+        // Odd frames (SAME borders on every side), B = 1 and 3 (tiles that
+        // straddle frames), and fan-ins from a 3×3 RGB stem up to rows so
+        // wide a tile holds fewer than 8 of them (the unpacked GEMM path).
+        for &((h, w, c), k, stride, n) in &[
+            ((13, 17, 3), 3, 2, 32),
+            ((9, 7, 3), 3, 1, 20),
+            ((11, 10, 4), 5, 2, 8),
+            ((6, 5, 200), 3, 1, 16),
+        ] {
+            let geo = Conv2dGeometry::resolve((h, w, c), (k, k), stride, Padding::Same);
+            let fan_in = geo.fan_in();
+            let mut rng = rand::rngs::StdRng::seed_from_u64((h * w + c) as u64);
+            let wts: Vec<f32> = (0..fan_in * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let scale: Vec<f32> = (0..n).map(|_| rng.gen_range(0.5..1.5)).collect();
+            let shift: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
+            let ep = Epilogue {
+                bias: Some(&bias),
+                scale_shift: Some((&scale, &shift)),
+                relu: true,
+            };
+            for batch in [1, 3] {
+                let x = Tensor::from_vec(
+                    vec![batch, h, w, c],
+                    (0..batch * h * w * c)
+                        .map(|_| rng.gen_range(-1.0..1.0))
+                        .collect(),
+                );
+                let rows = batch * geo.positions();
+                let mut cols = Tensor::zeros(vec![rows, fan_in]);
+                im2col_batch_into(&x, batch, &geo, &mut cols);
+                let mut want = vec![0.0; rows * n];
+                gemm_fused(cols.data(), &wts, &mut want, rows, fan_in, n, ep);
+                let mut got = vec![f32::NAN; rows * n];
+                im2col_gemm_streamed(x.data(), batch, &geo, &mut got, n, |a, out, m| {
+                    gemm_fused(a, &wts, out, m, fan_in, n, ep)
+                });
+                assert_eq!(got, want, "{h}x{w}x{c} k{k} s{stride} B={batch}");
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@ mod tensor;
 mod workspace;
 
 pub use im2col::{
-    col2im, im2col, im2col_batch_into, im2col_into, im2col_u8_into, Conv2dGeometry, Padding,
+    col2im, im2col, im2col_batch_into, im2col_gemm_streamed, im2col_into, im2col_u8_into,
+    Conv2dGeometry, Padding,
 };
 pub use init::{glorot_uniform, he_normal, uniform};
 pub use lowp::{

@@ -117,20 +117,31 @@ impl Epilogue<'_> {
             return;
         }
         for row in block.chunks_mut(n) {
-            if let Some(bias) = self.bias {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
+            self.apply_cols(row, 0);
+        }
+    }
+
+    /// Applies the epilogue to output columns `j0..j0 + row.len()` of one
+    /// row — a micro-kernel tile row still held in its accumulators.
+    #[inline(always)]
+    fn apply_cols(&self, row: &mut [f32], j0: usize) {
+        if let Some(bias) = self.bias {
+            for (v, &b) in row.iter_mut().zip(&bias[j0..]) {
+                *v += b;
             }
-            if let Some((scale, shift)) = self.scale_shift {
-                for ((v, &s), &t) in row.iter_mut().zip(scale).zip(shift) {
-                    *v = fmadd(t, *v, s);
-                }
+        }
+        if let Some((scale, shift)) = self.scale_shift {
+            for ((v, &s), &t) in row.iter_mut().zip(&scale[j0..]).zip(&shift[j0..]) {
+                *v = fmadd(t, *v, s);
             }
-            if self.relu {
-                for v in row.iter_mut() {
-                    *v = v.max(0.0);
-                }
+        }
+        if self.relu {
+            for v in row.iter_mut() {
+                // Written the way `maxps(v, 0)` evaluates it (0 for -0.0
+                // and NaN), so the scalar and SIMD epilogues agree in every
+                // build: unoptimized, `f32::max` calls libm, which keeps
+                // -0.0.
+                *v = if *v > 0.0 { *v } else { 0.0 };
             }
         }
     }
@@ -258,7 +269,9 @@ pub(crate) fn check_gemm_args(a: &[f32], out: &[f32], m: usize, k: usize, n: usi
 }
 
 /// Shared packed-path driver: splits `out` into row blocks (thread pool when
-/// big enough) and runs the micro-kernels plus epilogue per block.
+/// big enough) and runs the micro-kernels per block. The micro-kernels apply
+/// the epilogue to their accumulators before the store, so every output
+/// element is written exactly once.
 fn gemm_packed_driver(
     a: &[f32],
     packed: &[f32],
@@ -271,8 +284,7 @@ fn gemm_packed_driver(
     let parallel = m * n >= MIN_ELEMS_FOR_THREADS;
     let t = if parallel { threads() } else { 1 };
     parallel_row_blocks_mut(out, n, t, |row0, block| {
-        gemm_packed_rows(a, packed, block, row0, k, n);
-        ep.apply(block, n);
+        gemm_packed_rows(a, packed, block, row0, k, n, &ep);
     });
 }
 
@@ -294,8 +306,16 @@ fn pack_b(b: &[f32], packed: &mut [f32], k: usize, n: usize) {
 }
 
 /// Computes `block` (rows `row0..row0 + block.len()/n` of `C`) from `a` and
-/// packed `B` panels.
-fn gemm_packed_rows(a: &[f32], packed: &[f32], block: &mut [f32], row0: usize, k: usize, n: usize) {
+/// packed `B` panels, epilogue included.
+fn gemm_packed_rows(
+    a: &[f32],
+    packed: &[f32],
+    block: &mut [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+    ep: &Epilogue,
+) {
     let rows = block.len() / n;
     let panels = n.div_ceil(NR);
     for jp in 0..panels {
@@ -304,17 +324,17 @@ fn gemm_packed_rows(a: &[f32], packed: &[f32], block: &mut [f32], row0: usize, k
         let panel = &packed[jp * NR * k..(jp + 1) * NR * k];
         let mut r = 0;
         while r + MR <= rows {
-            micro_kernel_mr(a, panel, block, row0 + r, r, j0, w, k, n);
+            micro_kernel_mr(a, panel, block, row0 + r, r, j0, w, k, n, ep);
             r += MR;
         }
         while r < rows {
-            micro_kernel_1(a, panel, block, row0 + r, r, j0, w, k, n);
+            micro_kernel_1(a, panel, block, row0 + r, r, j0, w, k, n, ep);
             r += 1;
         }
     }
 }
 
-/// `MR×NR` register tile: C[r..r+MR][j0..j0+w] = Σ_k A[r..][k] · panel[k][..].
+/// `MR×NR` register tile: C[r..r+MR][j0..j0+w] = ep(Σ_k A[r..][k] · panel[k][..]).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_kernel_mr(
@@ -327,6 +347,7 @@ fn micro_kernel_mr(
     w: usize,
     k: usize,
     n: usize,
+    ep: &Epilogue,
 ) {
     #[cfg(all(
         target_arch = "x86_64",
@@ -334,9 +355,19 @@ fn micro_kernel_mr(
         target_feature = "fma"
     ))]
     {
-        // SAFETY: avx2+fma are compile-time target features here; slice
-        // bounds are asserted by the callers' geometry.
-        unsafe { micro_kernel_mr_avx2(a, panel, block, a_row, c_row, j0, w, k, n) }
+        assert!(
+            a.len() >= (a_row + MR) * k
+                && panel.len() >= k * NR
+                && block.len() >= (c_row + MR - 1) * n + j0 + w
+                && j0 + w <= n
+                && w <= NR,
+            "micro-kernel tile out of bounds"
+        );
+        // SAFETY: avx2+fma are compile-time target features here, and the
+        // assert above is exactly the geometry contract of
+        // `micro_kernel_mr_avx2` (epilogue slices hold ≥ n columns, checked
+        // by `check_gemm_args`).
+        unsafe { micro_kernel_mr_avx2(a, panel, block, a_row, c_row, j0, w, k, n, ep) }
     }
     #[cfg(not(all(
         target_arch = "x86_64",
@@ -344,7 +375,7 @@ fn micro_kernel_mr(
         target_feature = "fma"
     )))]
     {
-        micro_kernel_mr_generic(a, panel, block, a_row, c_row, j0, w, k, n)
+        micro_kernel_mr_generic(a, panel, block, a_row, c_row, j0, w, k, n, ep)
     }
 }
 
@@ -362,6 +393,7 @@ fn micro_kernel_mr_generic(
     w: usize,
     k: usize,
     n: usize,
+    ep: &Epilogue,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     let a0 = &a[a_row * k..(a_row + 1) * k];
@@ -377,7 +409,8 @@ fn micro_kernel_mr_generic(
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
+    for (r, accr) in acc.iter_mut().enumerate() {
+        ep.apply_cols(&mut accr[..w], j0);
         let dst = &mut block[(c_row + r) * n + j0..(c_row + r) * n + j0 + w];
         dst.copy_from_slice(&accr[..w]);
     }
@@ -388,12 +421,20 @@ fn micro_kernel_mr_generic(
 /// same ascending-`k` order as the portable kernel's `mul_add` chain, so
 /// results are bit-identical to it.
 ///
+/// The epilogue runs on the accumulators before the store, lane for lane
+/// the scalar [`Epilogue::apply_cols`]: `add` (bias), `fmadd(v, scale,
+/// shift)` (folded norm), then `max(v, 0)` — `maxps` returns its second
+/// operand on ties and NaNs, exactly like the scalar ReLU. Ragged
+/// tiles (`w < NR`) spill to a stack row and run the scalar epilogue, so no
+/// epilogue slice is read past column `n`.
+///
 /// # Safety
 ///
 /// Caller must guarantee avx2+fma are available (compile-time gated at the
-/// call site) and the usual geometry invariants (`a` holds `MR` rows of
-/// length `k` at `a_row`, `panel` holds `k·NR` floats, `block` holds the
-/// target rows).
+/// call site) and the geometry invariants: `a` holds rows `a_row..a_row +
+/// MR` of length `k`, `panel` holds `k·NR` floats, `block` holds rows
+/// `c_row..c_row + MR` of length `n` with `j0 + w ≤ n` and `w ≤ NR`, and
+/// every epilogue slice holds at least `n` columns.
 #[allow(clippy::too_many_arguments)]
 #[cfg(all(
     target_arch = "x86_64",
@@ -411,9 +452,14 @@ unsafe fn micro_kernel_mr_avx2(
     w: usize,
     k: usize,
     n: usize,
+    ep: &Epilogue,
 ) {
     use std::arch::x86_64::*;
     const { assert!(NR == 16 && MR == 4) };
+    // SAFETY: every pointer offset below stays inside the slices by the
+    // function's geometry contract: A reads `(a_row + r)·k + kk < (a_row +
+    // MR)·k`, panel reads `kk·NR + 15 < k·NR`, full-tile stores and
+    // epilogue loads touch columns `j0..j0 + NR ≤ n`.
     unsafe {
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
         let ap = a.as_ptr();
@@ -428,6 +474,28 @@ unsafe fn micro_kernel_mr_avx2(
             }
         }
         if w == NR {
+            if let Some(bias) = ep.bias {
+                let b = [0, 8].map(|h| _mm256_loadu_ps(bias.as_ptr().add(j0 + h)));
+                for accr in &mut acc {
+                    accr[0] = _mm256_add_ps(accr[0], b[0]);
+                    accr[1] = _mm256_add_ps(accr[1], b[1]);
+                }
+            }
+            if let Some((scale, shift)) = ep.scale_shift {
+                let s = [0, 8].map(|h| _mm256_loadu_ps(scale.as_ptr().add(j0 + h)));
+                let t = [0, 8].map(|h| _mm256_loadu_ps(shift.as_ptr().add(j0 + h)));
+                for accr in &mut acc {
+                    accr[0] = _mm256_fmadd_ps(accr[0], s[0], t[0]);
+                    accr[1] = _mm256_fmadd_ps(accr[1], s[1], t[1]);
+                }
+            }
+            if ep.relu {
+                let zero = _mm256_setzero_ps();
+                for accr in &mut acc {
+                    accr[0] = _mm256_max_ps(accr[0], zero);
+                    accr[1] = _mm256_max_ps(accr[1], zero);
+                }
+            }
             let cp = block.as_mut_ptr();
             for (r, accr) in acc.iter().enumerate() {
                 _mm256_storeu_ps(cp.add((c_row + r) * n + j0), accr[0]);
@@ -438,6 +506,7 @@ unsafe fn micro_kernel_mr_avx2(
             for (r, accr) in acc.iter().enumerate() {
                 _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);
                 _mm256_storeu_ps(tmp.as_mut_ptr().add(8), accr[1]);
+                ep.apply_cols(&mut tmp[..w], j0);
                 block[(c_row + r) * n + j0..(c_row + r) * n + j0 + w].copy_from_slice(&tmp[..w]);
             }
         }
@@ -457,6 +526,7 @@ fn micro_kernel_1(
     w: usize,
     k: usize,
     n: usize,
+    ep: &Epilogue,
 ) {
     let mut acc = [0.0f32; NR];
     let ar = &a[a_row * k..(a_row + 1) * k];
@@ -466,6 +536,7 @@ fn micro_kernel_1(
             *c = fmadd(*c, av, bv);
         }
     }
+    ep.apply_cols(&mut acc[..w], j0);
     block[c_row * n + j0..c_row * n + j0 + w].copy_from_slice(&acc[..w]);
 }
 
@@ -666,6 +737,60 @@ mod tests {
         let a = random(vec![40, 23], 5);
         let b = random(vec![23, 19], 6);
         assert_eq!(matmul(&a, &b), naive(&a, &b));
+    }
+
+    #[test]
+    fn in_register_epilogue_matches_block_apply_bit_for_bit() {
+        // Reference: the plain GEMM, then `Epilogue::apply` over the whole
+        // output — the separate pass the micro-kernels replaced. Shapes
+        // cover the unpacked path (m < 8), ragged MR and NR tiles, and a
+        // single narrow panel; rows of zeros make exact-zero accumulators,
+        // which a negative scale with a -0.0 shift turns into -0.0 before
+        // the ReLU, and a NaN row checks that ReLU maps NaN to 0 in both.
+        for &(m, k, n) in &[
+            (3, 5, 7),
+            (7, 9, 20),
+            (8, 27, 32),
+            (13, 27, 8),
+            (37, 16, 33),
+            (64, 10, 100),
+        ] {
+            let mut a = random(vec![m, k], (m * 7 + n) as u64).into_vec();
+            a[..k].fill(0.0);
+            a[2 * k..3 * k].fill(f32::NAN);
+            let b = random(vec![k, n], k as u64 + 3).into_vec();
+            let bias: Vec<f32> = (0..n).map(|j| [0.25, -0.0, -0.5][j % 3]).collect();
+            let scale: Vec<f32> = (0..n).map(|j| [-1.5, 0.75, -0.0][j % 3]).collect();
+            let shift: Vec<f32> = (0..n).map(|j| [-0.0, 0.125, -0.0][j % 3]).collect();
+            let mut packed = vec![0.0; packed_panels_len(k, n)];
+            pack_b_panels_into(&b, &mut packed, k, n);
+            for bias in [None, Some(&bias[..])] {
+                for scale_shift in [None, Some((&scale[..], &shift[..]))] {
+                    for relu in [false, true] {
+                        let ep = Epilogue {
+                            bias,
+                            scale_shift,
+                            relu,
+                        };
+                        let mut want = vec![0.0; m * n];
+                        gemm(&a, &b, &mut want, m, k, n);
+                        ep.apply(&mut want, n);
+                        let mut fused = vec![0.0; m * n];
+                        gemm_fused(&a, &b, &mut fused, m, k, n, ep);
+                        let mut prepacked = vec![0.0; m * n];
+                        gemm_prepacked(&a, &packed, &mut prepacked, m, k, n, ep);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let label = format!(
+                            "{m}x{k}x{n} bias={} norm={} relu={relu}",
+                            bias.is_some(),
+                            scale_shift.is_some()
+                        );
+                        assert_eq!(bits(&fused), bits(&want), "gemm_fused {label}");
+                        assert_eq!(bits(&prepacked), bits(&want), "gemm_prepacked {label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,31 @@ use std::fmt;
 /// `[rows, cols]`. The struct keeps no strides — views are materialized by
 /// copying, which keeps every downstream kernel (GEMM, im2col, the codec)
 /// operating on contiguous memory.
-#[derive(Clone, PartialEq)]
 pub struct Tensor {
     dims: Vec<usize>,
     data: Vec<f32>,
+    /// High-water mark of `data`: its first `init` slots (`data.len() ≤
+    /// init ≤ data.capacity()`) hold initialized floats, so
+    /// [`Self::reinit`] can regrow a recycled buffer over them without
+    /// zero-filling it again.
+    init: usize,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let data = self.data.clone();
+        Tensor {
+            dims: self.dims.clone(),
+            init: data.len(),
+            data,
+        }
+    }
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims == other.dims && self.data == other.data
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -49,6 +70,7 @@ impl Tensor {
         Tensor {
             dims,
             data: vec![0.0; n],
+            init: n,
         }
     }
 
@@ -58,6 +80,7 @@ impl Tensor {
         Tensor {
             dims,
             data: vec![value; n],
+            init: n,
         }
     }
 
@@ -74,7 +97,11 @@ impl Tensor {
             "shape {dims:?} needs {n} values, got {}",
             data.len()
         );
-        Tensor { dims, data }
+        Tensor {
+            dims,
+            init: data.len(),
+            data,
+        }
     }
 
     /// The `n × n` identity matrix.
@@ -162,6 +189,7 @@ impl Tensor {
         Tensor {
             dims: Vec::new(),
             data: Vec::with_capacity(n),
+            init: 0,
         }
     }
 
@@ -176,11 +204,21 @@ impl Tensor {
     }
 
     /// Re-sizes this tensor to `dims`, reusing both vectors' capacity.
-    /// Newly exposed elements (beyond the previous length) are zero; the
-    /// rest keep their prior, unspecified values.
+    /// Elements keep whatever the buffer last held there (zero where it
+    /// never held anything). Regrowing over slots an earlier, larger use
+    /// already wrote costs nothing — a recycled feature-map buffer is not
+    /// zero-filled again each time a bigger map reuses it.
     pub(crate) fn reinit(&mut self, dims: &[usize]) {
         let n: usize = dims.iter().product();
-        self.data.resize(n, 0.0);
+        if n <= self.init {
+            // SAFETY: `n ≤ init ≤ capacity`, and every slot below `init` was
+            // written while this vector held it; `f32` has no drop glue, so
+            // shortening the vector since then left those slots initialized.
+            unsafe { self.data.set_len(n) };
+        } else {
+            self.data.resize(n, 0.0);
+            self.init = n;
+        }
         self.dims.clear();
         self.dims.extend_from_slice(dims);
     }
@@ -272,10 +310,7 @@ impl Tensor {
 
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            dims: self.dims.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Tensor::from_vec(self.dims.clone(), self.data.iter().map(|&x| f(x)).collect())
     }
 
     /// Applies `f` to every element in place.
@@ -292,15 +327,14 @@ impl Tensor {
     /// Panics if the shapes differ.
     pub fn zip_map(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.dims, rhs.dims, "zip_map shape mismatch");
-        Tensor {
-            dims: self.dims.clone(),
-            data: self
-                .data
+        Tensor::from_vec(
+            self.dims.clone(),
+            self.data
                 .iter()
                 .zip(&rhs.data)
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
-        }
+        )
     }
 
     /// `self += rhs`, element-wise.

@@ -125,6 +125,26 @@ mod tests {
     }
 
     #[test]
+    fn regrowing_a_recycled_buffer_does_not_zero_it_again() {
+        let mut ws = Workspace::new();
+        let mut big = ws.take(&[64]);
+        big.data_mut().fill(3.0);
+        ws.recycle(big);
+        let small = ws.take(&[8]);
+        let mut copy = small.clone();
+        ws.recycle(small);
+        let again = ws.take(&[64]);
+        assert!(
+            again.data().iter().all(|&v| v == 3.0),
+            "stale contents kept"
+        );
+        // A clone owns only the elements it was given: growing it zeroes.
+        copy.reinit(&[64]);
+        assert!(copy.data()[..8].iter().all(|&v| v == 3.0));
+        assert!(copy.data()[8..].iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
     fn take_zeroed_clears_stale_contents() {
         let mut ws = Workspace::new();
         ws.recycle(Tensor::filled(vec![6], 7.0));
