@@ -130,8 +130,10 @@ impl Query {
 
 /// Deepest operator nesting [`Query::from_wire`] accepts. Composite
 /// subscriptions combine a handful of MCs; the cap exists so a hostile wire
-/// string cannot exhaust the parsing thread's stack.
-pub const MAX_QUERY_DEPTH: usize = 128;
+/// string cannot exhaust the parsing thread's stack. At this depth the
+/// recursive parser fits a 256 KiB thread stack even in an unoptimized
+/// build (~2 KiB per level there; twice this depth does not fit).
+pub const MAX_QUERY_DEPTH: usize = 64;
 
 /// Why a wire-form query failed to parse ([`Query::from_wire`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
