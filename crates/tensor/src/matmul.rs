@@ -360,13 +360,15 @@ fn micro_kernel_mr(
                 && panel.len() >= k * NR
                 && block.len() >= (c_row + MR - 1) * n + j0 + w
                 && j0 + w <= n
-                && w <= NR,
+                && w <= NR
+                && ep.bias.is_none_or(|b| b.len() >= n)
+                && ep
+                    .scale_shift
+                    .is_none_or(|(s, t)| s.len() >= n && t.len() >= n),
             "micro-kernel tile out of bounds"
         );
         // SAFETY: avx2+fma are compile-time target features here, and the
-        // assert above is exactly the geometry contract of
-        // `micro_kernel_mr_avx2` (epilogue slices hold ≥ n columns, checked
-        // by `check_gemm_args`).
+        // assert above is exactly the contract of `micro_kernel_mr_avx2`.
         unsafe { micro_kernel_mr_avx2(a, panel, block, a_row, c_row, j0, w, k, n, ep) }
     }
     #[cfg(not(all(
