@@ -5,8 +5,8 @@
 //! layers the two element-wise passes are memory-bound and, on the Figure 5
 //! geometry, cost more than the convolution's GEMM itself. These layers run
 //! the whole unit in a single output pass: the GEMM (or depthwise kernel)
-//! writes each row, and the folded norm + ReLU are applied while the row is
-//! cache-hot (see [`ff_tensor::Epilogue`]).
+//! applies the folded norm + ReLU to its accumulators before storing them
+//! (see [`ff_tensor::Epilogue`]).
 //!
 //! Training still works — the backward pass decomposes the unit exactly the
 //! way the separate layers would — but the implementation optimizes the

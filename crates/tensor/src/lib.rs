@@ -4,7 +4,9 @@
 //! tensors (HWC layout for images and feature maps), an
 //! [im2col](im2col()) lowering for convolutions — including a batched
 //! variant ([`im2col_batch_into`]) that stacks several frames' patch
-//! matrices row-wise so a whole batch becomes one GEMM per layer — and a
+//! matrices row-wise so a whole batch becomes one GEMM per layer, and a
+//! streamed one ([`im2col_gemm_streamed`]) that feeds the GEMM tile by tile
+//! without materializing the matrix — and a
 //! packed, cache-blocked, optionally multi-threaded [GEMM](matmul()).
 //! Static weights can additionally be prepacked at reduced precision
 //! ([`Precision`]: f16 or int8 + per-column scale panels, widened to f32 in

@@ -90,10 +90,11 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     gemm(a.data(), b.data(), out.data_mut(), m, k, n);
 }
 
-/// Per-column epilogue fused into a GEMM: applied to each output row while
-/// it is still cache-hot, in the order `acc + bias` → `·scale + shift` →
-/// `max(0, ·)`. This is what lets a convolution, its folded batch-norm, and
-/// its ReLU execute as **one** pass over the output instead of three
+/// Per-column epilogue fused into a GEMM: the packed path applies it to each
+/// micro-kernel tile's accumulators just before the store, in the order
+/// `acc + bias` → `·scale + shift` → `max(0, ·)`. This is what lets a
+/// convolution, its folded batch-norm, and its ReLU write their output
+/// **once** instead of making three passes over it
 /// (separate layer passes are memory-bound and were costing more than the
 /// GEMM itself on the MobileNet hot path).
 #[derive(Clone, Copy, Default)]
