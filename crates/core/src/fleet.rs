@@ -29,6 +29,19 @@
 //! announces it. At end of run the summed [`FleetLedger`] conserves:
 //! `Σ offered == delivered + delivered_late + dropped + spilled`.
 //!
+//! The wire is a ring of per-round buckets whose front is the next round
+//! to deliver: a copy sent for delivery round `d` is appended to bucket
+//! `d − front`. Message ids are handed out in send order, so appending
+//! keeps every bucket in id order, and draining the buckets front to back
+//! up to the current round yields exactly (delivery round, id) order — the
+//! total order that makes jittered, reordered deliveries replay. Drained
+//! buckets rotate to the back, so a run allocates them once.
+//!
+//! A segment copy on the wire is only `(node, seq)`. The hub side builds
+//! the [`EventSegment`] from the sender's journal when the copy arrives;
+//! journal entries never change once written, so that is the segment as
+//! sent, and sends, duplicate copies and lost copies allocate nothing.
+//!
 //! # Crash recovery
 //!
 //! A crash loses volatile transport state — the unacked outbox and every
@@ -38,7 +51,7 @@
 //! re-offers are genuine duplicates, and the hub's dedup window is what
 //! keeps them from ever reaching a subscriber twice.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,8 +59,8 @@ use rand::{Rng, SeedableRng};
 use crate::events::McId;
 use crate::faults::{FleetFaultError, FleetFaultPlan, RetryPolicy};
 use crate::hub::{
-    Admit, CloudHub, EventSegment, FleetLedger, HubEventKind, McVersion, NodeId, RolloutOutcome,
-    RolloutPlan,
+    Admit, CloudHub, EventSegment, FleetLedger, HubError, HubEventKind, McVersion, NodeId,
+    RolloutOutcome, RolloutPlan,
 };
 use crate::query::Query;
 use ff_obs::{Registry, Span};
@@ -151,10 +164,13 @@ pub enum FleetError {
         /// Fleet size.
         nodes: usize,
     },
-    /// A subscription query references no MC.
-    EmptySubscription {
+    /// The hub refused a subscription query (it references no MC, or
+    /// nests too deep).
+    Subscription {
         /// Index into [`FleetConfig::subscriptions`].
         index: usize,
+        /// Why the hub refused it.
+        source: HubError,
     },
     /// The fault plan was rejected.
     Plan(FleetFaultError),
@@ -174,8 +190,8 @@ impl std::fmt::Display for FleetError {
                 "canary of {canary} nodes needs a non-empty control cohort in a \
                  {nodes}-node fleet"
             ),
-            FleetError::EmptySubscription { index } => {
-                write!(f, "subscription {index} references no MC")
+            FleetError::Subscription { index, source } => {
+                write!(f, "subscription {index} refused: {source}")
             }
             FleetError::Plan(e) => write!(f, "fleet fault plan rejected: {e}"),
         }
@@ -186,6 +202,7 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Plan(e) => Some(e),
+            FleetError::Subscription { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -310,16 +327,83 @@ enum Fate {
 
 #[derive(Debug, Clone)]
 struct JournalSeg {
-    classes: Vec<McId>,
+    /// A segment carries one event class or two distinct ones:
+    /// `classes[..n_classes]`, held inline.
+    classes: [McId; 2],
+    n_classes: u8,
     bytes: usize,
     round: u64,
     version: McVersion,
 }
 
-#[derive(Debug, Clone)]
+/// One message on the wire. A segment copy names its journal entry; the
+/// hub side builds the [`EventSegment`] from the sender's journal when the
+/// copy is delivered (entries never change once journaled, so that is the
+/// segment as sent).
+#[derive(Debug, Clone, Copy)]
 enum WireMsg {
-    Seg(EventSegment),
+    Seg { node: usize, seq: u64 },
     Ack { node: usize, seq: u64 },
+}
+
+/// The wire conditions in force for one round: seeded loss probability,
+/// extra duplicate-storm copies, and max per-copy delivery jitter.
+#[derive(Clone, Copy)]
+struct LinkShape {
+    loss: f64,
+    copies: u32,
+    jitter: u64,
+}
+
+/// In-flight wire messages in one bucket per delivery round: `buckets[k]`
+/// holds the messages due at round `base + k`, each tagged with its
+/// message id, in id order (ids are assigned as messages are appended).
+#[derive(Debug, Default)]
+struct Wire {
+    buckets: VecDeque<Vec<(u64, WireMsg)>>,
+    /// The next round to deliver: the round of `buckets[0]`.
+    base: u64,
+    next_id: u64,
+}
+
+impl Wire {
+    /// Sends one message on behalf of a node (its own segments, or acks
+    /// addressed to it): seeded loss, duplicate-storm copies, and per-copy
+    /// delivery jitter, all drawn from that node's link RNG so the draw
+    /// sequence is fleet-size-independent.
+    fn send(&mut self, link_rng: &mut StdRng, round: u64, link: LinkShape, msg: WireMsg) {
+        for _ in 0..=link.copies {
+            if link.loss > 0.0 && link_rng.gen_bool(link.loss) {
+                continue;
+            }
+            let delay = if link.jitter > 0 {
+                link_rng.gen_range(0..=link.jitter)
+            } else {
+                0
+            };
+            let at = round + 1 + delay;
+            debug_assert!(at >= self.base, "sent after its round was delivered");
+            let k = (at - self.base) as usize;
+            if k >= self.buckets.len() {
+                self.buckets.resize_with(k + 1, Vec::new);
+            }
+            self.buckets[k].push((self.next_id, msg));
+            self.next_id += 1;
+        }
+    }
+
+    /// Appends every message due at or before `round` to `due`, in
+    /// (delivery round, id) order. Emptied buckets move to the back of the
+    /// ring for later rounds, keeping their capacity.
+    fn drain_due(&mut self, round: u64, due: &mut Vec<(u64, WireMsg)>) {
+        while self.base <= round {
+            self.base += 1;
+            if let Some(mut bucket) = self.buckets.pop_front() {
+                due.append(&mut bucket);
+                self.buckets.push_back(bucket);
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -378,16 +462,18 @@ impl SimNode {
         }
     }
 
-    fn segment(&self, seq: u64) -> EventSegment {
+    /// Overwrites `out` with journaled segment `seq`, reusing its class
+    /// buffer.
+    fn write_segment(&self, seq: u64, out: &mut EventSegment) {
         let j = &self.journal[seq as usize];
-        EventSegment {
-            node: NodeId(self.id),
-            seq,
-            classes: j.classes.clone(),
-            round: j.round,
-            bytes: j.bytes,
-            version: j.version,
-        }
+        out.node = NodeId(self.id);
+        out.seq = seq;
+        out.classes.clear();
+        out.classes
+            .extend_from_slice(&j.classes[..usize::from(j.n_classes)]);
+        out.round = j.round;
+        out.bytes = j.bytes;
+        out.version = j.version;
     }
 
     /// Settles an ack: at most one ledger settle per seq, and the
@@ -409,11 +495,16 @@ impl SimNode {
         if let Some(pos) = self.outbox.iter().position(|&(s, _)| s == seq) {
             self.outbox.remove(pos);
         }
-        if seq >= self.acked_low {
+        // Everything in `acked` lies above the watermark, so an in-order
+        // ack only moves the watermark.
+        if seq == self.acked_low {
+            self.acked_low += 1;
+        } else if seq > self.acked_low {
             self.acked.insert(seq);
-            while self.acked.remove(&self.acked_low) {
-                self.acked_low += 1;
-            }
+        }
+        while self.acked.first() == Some(&self.acked_low) {
+            self.acked.pop_first();
+            self.acked_low += 1;
         }
     }
 
@@ -471,6 +562,18 @@ struct RolloutExec {
 // The fleet
 // ---------------------------------------------------------------------------
 
+/// What the run loop derives from the configuration once, before its
+/// first round (outside [`Fleet::new`], which only validates and builds).
+struct RunPlan {
+    /// Nodes some scripted crash names, ascending: the only nodes whose
+    /// crash state can change, visited in node order.
+    crash_nodes: Vec<usize>,
+    /// Retransmission timeout by attempts already made: the retry
+    /// backoff, floored above one wire round trip plus worst-case jitter
+    /// so healthy acks never race the timer.
+    rto: Vec<u64>,
+}
+
 #[derive(Debug, Clone)]
 struct FetchJob {
     node: usize,
@@ -487,10 +590,13 @@ pub struct Fleet {
     cfg: FleetConfig,
     nodes: Vec<SimNode>,
     hub: CloudHub,
-    /// In-flight wire messages keyed by (delivery round, message id) —
-    /// monotone ids give reordered deliveries a total deterministic order.
-    wire: BTreeMap<(u64, u64), WireMsg>,
-    next_msg: u64,
+    wire: Wire,
+    /// Per-round buffers of [`Fleet::deliver_wire`], reused across rounds:
+    /// the messages due, the segment arrivals built from them (entries past
+    /// the round's count are spare), and the acks to settle.
+    due: Vec<(u64, WireMsg)>,
+    seg_arrivals: Vec<(u64, EventSegment)>,
+    acks: Vec<(usize, u64)>,
     rollout: Option<RolloutExec>,
     fetch_jobs: Vec<FetchJob>,
     fetch_ok: u64,
@@ -500,22 +606,13 @@ pub struct Fleet {
     checkpoint_restores: u64,
 }
 
-/// The wire conditions in force for one round: seeded loss probability,
-/// extra duplicate-storm copies, and max per-copy delivery jitter.
-#[derive(Clone, Copy)]
-struct LinkShape {
-    loss: f64,
-    copies: u32,
-    jitter: u64,
-}
-
 impl Fleet {
     /// Validates the configuration and builds the fleet.
     ///
     /// # Errors
     ///
     /// Returns the first [`FleetError`] the configuration trips.
-    pub fn new(cfg: FleetConfig) -> Result<Self, FleetError> {
+    pub fn new(mut cfg: FleetConfig) -> Result<Self, FleetError> {
         if cfg.nodes == 0 {
             return Err(FleetError::NoNodes);
         }
@@ -552,9 +649,14 @@ impl Fleet {
         for _ in 0..cfg.nodes {
             hub.register_node();
         }
-        for (index, q) in cfg.subscriptions.iter().enumerate() {
-            hub.subscribe(q.clone())
-                .map_err(|_| FleetError::EmptySubscription { index })?;
+        // The hub keeps the queries; moving them (rather than cloning,
+        // which recurses) also lets it refuse one of any depth.
+        for (index, q) in std::mem::take(&mut cfg.subscriptions)
+            .into_iter()
+            .enumerate()
+        {
+            hub.subscribe(q)
+                .map_err(|source| FleetError::Subscription { index, source })?;
         }
         let nodes = (0..cfg.nodes).map(|i| SimNode::new(i, cfg.seed)).collect();
         let rollout = cfg.rollout.map(|plan| RolloutExec {
@@ -570,8 +672,10 @@ impl Fleet {
             cfg,
             nodes,
             hub,
-            wire: BTreeMap::new(),
-            next_msg: 0,
+            wire: Wire::default(),
+            due: Vec::new(),
+            seg_arrivals: Vec::new(),
+            acks: Vec::new(),
             rollout,
             fetch_jobs: Vec::new(),
             fetch_ok: 0,
@@ -591,40 +695,31 @@ impl Fleet {
             .unwrap_or(1.0)
     }
 
-    /// Retransmission timeout after `attempt` failed attempts: the retry
-    /// backoff, floored above one wire round trip plus worst-case jitter
-    /// so healthy acks never race the timer.
-    fn rto(&self, attempt: u32) -> u64 {
-        self.cfg
-            .retry
-            .delay_rounds(attempt)
-            .max(2 + 2 * self.cfg.jitter_rounds)
-    }
-
-    /// Sends one message over the wire on behalf of `node` (its own
-    /// segments, or acks addressed to it): seeded loss, duplicate-storm
-    /// copies, and per-copy delivery jitter, all drawn from that node's
-    /// link RNG so the draw sequence is fleet-size-independent.
-    fn wire_send(
-        wire: &mut BTreeMap<(u64, u64), WireMsg>,
-        next_msg: &mut u64,
-        link_rng: &mut StdRng,
-        round: u64,
-        link: LinkShape,
-        msg: WireMsg,
-    ) {
-        for _ in 0..=link.copies {
-            if link.loss > 0.0 && link_rng.gen_bool(link.loss) {
-                continue;
-            }
-            let delay = if link.jitter > 0 {
-                link_rng.gen_range(0..=link.jitter)
-            } else {
-                0
-            };
-            let id = *next_msg;
-            *next_msg += 1;
-            wire.insert((round + 1 + delay, id), msg.clone());
+    /// Derives the [`RunPlan`] from the configuration.
+    fn run_plan(&self) -> RunPlan {
+        use crate::faults::FleetFaultKind;
+        let mut crash_nodes: Vec<usize> = self
+            .cfg
+            .faults
+            .faults
+            .iter()
+            .filter_map(|f| match f.kind {
+                FleetFaultKind::NodeCrash { node } => Some(node),
+                _ => None,
+            })
+            .collect();
+        crash_nodes.sort_unstable();
+        crash_nodes.dedup();
+        RunPlan {
+            crash_nodes,
+            rto: (0..self.cfg.retry.max_attempts.max(1))
+                .map(|a| {
+                    self.cfg
+                        .retry
+                        .delay_rounds(a)
+                        .max(2 + 2 * self.cfg.jitter_rounds)
+                })
+                .collect(),
         }
     }
 
@@ -632,7 +727,7 @@ impl Fleet {
     /// each one. Plan-window events come first (in plan order), then
     /// per-node crash transitions (in node order) — a fixed order, so the
     /// trace replays.
-    fn begin_round(&mut self, round: u64) {
+    fn begin_round(&mut self, round: u64, plan: &RunPlan) {
         use crate::faults::FleetFaultKind;
         for f in &self.cfg.faults.faults {
             let (start, end) = (f.at_round == round, f.at_round + f.rounds == round);
@@ -672,7 +767,7 @@ impl Fleet {
                 self.hub.trace_mut().push(round, kind);
             }
         }
-        for i in 0..self.nodes.len() {
+        for &i in &plan.crash_nodes {
             let down = self.cfg.faults.crashed(i, round);
             let was = self.nodes[i].crashed;
             if down && !was {
@@ -783,35 +878,45 @@ impl Fleet {
     /// Delivers this round's due wire messages: segments to the hub
     /// (sharded dedup, then acks), acks to their nodes (vanishing if the
     /// node is crashed or partitioned at delivery).
-    fn deliver_wire(&mut self, round: u64) {
-        let mut due: Vec<(u64, WireMsg)> = Vec::new();
-        while let Some(entry) = self.wire.first_entry() {
-            if entry.key().0 > round {
-                break;
-            }
-            let ((_, id), msg) = entry.remove_entry();
-            due.push((id, msg));
-        }
-        let mut seg_arrivals: Vec<(u64, EventSegment)> = Vec::new();
-        let mut acks: Vec<(u64, usize, u64)> = Vec::new();
-        for (id, msg) in due {
+    fn deliver_wire(&mut self, round: u64, link: LinkShape) {
+        let mut due = std::mem::take(&mut self.due);
+        let mut arrivals = std::mem::take(&mut self.seg_arrivals);
+        self.wire.drain_due(round, &mut due);
+        self.acks.clear();
+        let mut arrived = 0;
+        for &(id, msg) in &due {
             match msg {
-                WireMsg::Seg(seg) => {
+                WireMsg::Seg { node, seq } => {
                     // A partitioned sender's in-flight segments already
                     // left its access link; they deliver.
-                    seg_arrivals.push((id, seg));
+                    if arrived == arrivals.len() {
+                        arrivals.push((
+                            id,
+                            EventSegment {
+                                node: NodeId(node),
+                                seq,
+                                classes: Vec::new(),
+                                round: 0,
+                                bytes: 0,
+                                version: BASELINE_VERSION,
+                            },
+                        ));
+                    }
+                    arrivals[arrived].0 = id;
+                    self.nodes[node].write_segment(seq, &mut arrivals[arrived].1);
+                    arrived += 1;
                 }
-                WireMsg::Ack { node, seq } => acks.push((id, node, seq)),
+                WireMsg::Ack { node, seq } => self.acks.push((node, seq)),
             }
         }
+        due.clear();
+        self.due = due;
         // Hub ingest: dedup in shards, effects + acks in msg-id order.
         let verdicts = self
             .hub
-            .ingest_sharded(&seg_arrivals, self.cfg.shards)
+            .ingest_sharded(&arrivals[..arrived], self.cfg.shards)
             .expect("all fleet nodes are registered");
-        let loss = self.cfg.faults.loss_rate(round);
-        let copies = self.cfg.faults.dup_copies(round);
-        for ((_, verdict), (_, seg)) in verdicts.iter().zip(seg_arrivals.iter()) {
+        for ((_, verdict), (_, seg)) in verdicts.iter().zip(&arrivals[..arrived]) {
             let n = seg.node.0;
             if *verdict == Admit::Fresh {
                 if let Some(ro) = self.rollout.as_mut() {
@@ -823,16 +928,10 @@ impl Fleet {
             // Fresh and duplicate arrivals are acked (the first ack may
             // have been lost); out-of-window arrivals are not.
             if *verdict != Admit::OutOfWindow && !self.cfg.faults.partitioned(n, round) {
-                Fleet::wire_send(
-                    &mut self.wire,
-                    &mut self.next_msg,
+                self.wire.send(
                     &mut self.nodes[n].link_rng,
                     round,
-                    LinkShape {
-                        loss,
-                        copies,
-                        jitter: self.cfg.jitter_rounds,
-                    },
+                    link,
                     WireMsg::Ack {
                         node: n,
                         seq: seg.seq,
@@ -840,8 +939,9 @@ impl Fleet {
                 );
             }
         }
+        self.seg_arrivals = arrivals;
         // Ack deliveries settle at their nodes.
-        for (_, node, seq) in acks {
+        for &(node, seq) in &self.acks {
             if self.nodes[node].crashed || self.cfg.faults.partitioned(node, round) {
                 continue;
             }
@@ -852,35 +952,34 @@ impl Fleet {
     /// One node round: generate (journal + ledger), transmit fresh
     /// segments up to the send window, retransmit on ack timeout, park on
     /// retry exhaustion.
-    fn node_step(&mut self, round: u64, i: usize) {
-        let loss = self.cfg.faults.loss_rate(round);
-        let copies = self.cfg.faults.dup_copies(round);
-        let jitter = self.cfg.jitter_rounds;
+    fn node_step(&mut self, round: u64, link: LinkShape, rto: &[u64], i: usize) {
+        if self.nodes[i].crashed {
+            return;
+        }
         let partitioned = self.cfg.faults.partitioned(i, round);
         let spill_limit = self.cfg.spill_limit;
         let send_window = self.cfg.send_window;
         let max_attempts = self.cfg.retry.max_attempts;
         let classes = self.cfg.classes;
-        let rto0 = self.rto(0);
         let rate =
             (self.cfg.event_rate * self.version_rate(self.nodes[i].version)).clamp(0.0, 0.95);
         let node = &mut self.nodes[i];
-        if node.crashed {
-            return;
-        }
         // Generate: one seeded draw per alive round, always consumed in
         // the same per-node order.
         if node.event_rng.gen_bool(rate) {
-            let mut cls = vec![McId(node.event_rng.gen_range(0..classes))];
+            let first = McId(node.event_rng.gen_range(0..classes));
+            let (mut cls, mut n_classes) = ([first; 2], 1);
             if classes > 1 && node.event_rng.gen_bool(0.4) {
                 let extra = McId(node.event_rng.gen_range(0..classes));
-                if !cls.contains(&extra) {
-                    cls.push(extra);
+                if extra != first {
+                    cls[1] = extra;
+                    n_classes = 2;
                 }
             }
             let bytes = node.event_rng.gen_range(300..1500);
             node.journal.push(JournalSeg {
                 classes: cls,
+                n_classes,
                 bytes,
                 round,
                 version: node.version,
@@ -906,28 +1005,15 @@ impl Fleet {
             }
             node.attempts[s] += 1;
             node.redeliveries += 1;
-            let msg = WireMsg::Seg(node.segment(seq));
             if !partitioned {
-                Fleet::wire_send(
-                    &mut self.wire,
-                    &mut self.next_msg,
+                self.wire.send(
                     &mut node.link_rng,
                     round,
-                    LinkShape {
-                        loss,
-                        copies,
-                        jitter,
-                    },
-                    msg,
+                    link,
+                    WireMsg::Seg { node: i, seq },
                 );
             }
-            let attempt = node.attempts[s];
-            node.outbox[idx].1 = round
-                + self
-                    .cfg
-                    .retry
-                    .delay_rounds(attempt.saturating_sub(1))
-                    .max(2 + 2 * jitter);
+            node.outbox[idx].1 = round + rto[node.attempts[s] as usize - 1];
             idx += 1;
         }
         // Fresh transmissions up to the send window. After a crash-rejoin
@@ -949,22 +1035,15 @@ impl Fleet {
                 node.redeliveries += 1;
             }
             node.ever_sent[s] = true;
-            let msg = WireMsg::Seg(node.segment(seq));
             if !partitioned {
-                Fleet::wire_send(
-                    &mut self.wire,
-                    &mut self.next_msg,
+                self.wire.send(
                     &mut node.link_rng,
                     round,
-                    LinkShape {
-                        loss,
-                        copies,
-                        jitter,
-                    },
-                    msg,
+                    link,
+                    WireMsg::Seg { node: i, seq },
                 );
             }
-            node.outbox.push_back((seq, round + rto0));
+            node.outbox.push_back((seq, round + rto[0]));
         }
     }
 
@@ -972,8 +1051,10 @@ impl Fleet {
     /// parked content.
     fn fetch_step(&mut self, round: u64) {
         for i in 0..self.nodes.len() {
-            let reachable = !self.nodes[i].crashed && !self.cfg.faults.partitioned(i, round);
-            if reachable && self.nodes[i].parked_unannounced > 0 {
+            if self.nodes[i].parked_unannounced > 0
+                && !self.nodes[i].crashed
+                && !self.cfg.faults.partitioned(i, round)
+            {
                 let fresh = self.nodes[i].parked_unannounced;
                 let start = self.nodes[i].parked.len() - fresh;
                 for &(seq, bytes) in &self.nodes[i].parked[start..] {
@@ -1055,12 +1136,18 @@ impl Fleet {
     /// [`Fleet::enable_obs`] was called). The report stays `Eq`-comparable;
     /// spans ride alongside rather than inside it.
     pub fn run_traced(mut self) -> (FleetReport, Vec<Span>) {
+        let plan = self.run_plan();
         for round in 0..self.cfg.rounds {
-            self.begin_round(round);
+            self.begin_round(round, &plan);
             self.rollout_step(round);
-            self.deliver_wire(round);
+            let link = LinkShape {
+                loss: self.cfg.faults.loss_rate(round),
+                copies: self.cfg.faults.dup_copies(round),
+                jitter: self.cfg.jitter_rounds,
+            };
+            self.deliver_wire(round, link);
             for i in 0..self.nodes.len() {
-                self.node_step(round, i);
+                self.node_step(round, link, &plan.rto, i);
             }
             self.fetch_step(round);
             if round % self.cfg.checkpoint_every == self.cfg.checkpoint_every - 1 {
@@ -1167,6 +1254,112 @@ mod tests {
         assert!(matches!(err, FleetError::Plan(_)));
         let dyn_err: &dyn std::error::Error = &err;
         assert!(dyn_err.source().is_some(), "plan error is the source");
+    }
+
+    #[test]
+    fn subscription_errors_carry_the_hub_cause() {
+        // A query too deep for the hub, at subscription index 1, built
+        // and refused on a 256 KiB thread: `Fleet::new` hands the query to
+        // the hub without cloning (which would recurse), and the hub's
+        // error comes back as the source.
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut deep = Query::mc(McId(0));
+                for _ in 0..100_000 {
+                    deep = deep.not();
+                }
+                let cfg = FleetConfig {
+                    subscriptions: vec![Query::mc(McId(0)), deep],
+                    ..Default::default()
+                };
+                Fleet::new(cfg).unwrap_err()
+            })
+            .expect("spawn fleet thread")
+            .join()
+            .expect("a deep subscription neither overflows nor panics");
+        assert_eq!(
+            err,
+            FleetError::Subscription {
+                index: 1,
+                source: HubError::QueryTooDeep { depth: 100_000 },
+            }
+        );
+        let dyn_err: &dyn std::error::Error = &err;
+        assert!(dyn_err.to_string().starts_with("subscription 1 refused"));
+        let cause = dyn_err.source().expect("hub error is the source");
+        assert_eq!(
+            cause.downcast_ref::<HubError>(),
+            Some(&HubError::QueryTooDeep { depth: 100_000 })
+        );
+        // Every `Query` has at least one MC leaf, so the hub's empty-query
+        // refusal cannot be provoked through `Fleet::new`; its wrapping
+        // still reads and chains the same way.
+        let empty = FleetError::Subscription {
+            index: 0,
+            source: HubError::EmptyQuery,
+        };
+        assert_eq!(
+            empty.to_string(),
+            "subscription 0 refused: subscription query references no MC"
+        );
+        let dyn_empty: &dyn std::error::Error = &empty;
+        assert!(dyn_empty.source().is_some());
+    }
+
+    #[test]
+    fn bucketed_wire_delivers_in_round_then_id_order() {
+        // Reference: the (delivery round, id)-keyed map the buckets
+        // replaced, fed the same link RNG draws.
+        let link = LinkShape {
+            loss: 0.3,
+            copies: 2,
+            jitter: 3,
+        };
+        let mut wire = Wire::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut reference = std::collections::BTreeMap::new();
+        let mut ref_rng = StdRng::seed_from_u64(7);
+        let mut ref_id = 0u64;
+        let mut due = Vec::new();
+        let mut delivered = 0;
+        for round in 0..60u64 {
+            due.clear();
+            wire.drain_due(round, &mut due);
+            let mut want = Vec::new();
+            while let Some(e) = reference.first_entry() {
+                let &(at, id) = e.key();
+                if at > round {
+                    break;
+                }
+                want.push((id, e.remove()));
+            }
+            let got: Vec<(u64, u64)> = due
+                .iter()
+                .map(|&(id, msg)| match msg {
+                    WireMsg::Ack { seq, .. } | WireMsg::Seg { seq, .. } => (id, seq),
+                })
+                .collect();
+            assert_eq!(got, want, "round {round}");
+            delivered += got.len();
+            if round >= 50 {
+                continue; // let the tail drain
+            }
+            for seq in 0..round % 5 {
+                wire.send(&mut rng, round, link, WireMsg::Ack { node: 0, seq });
+                for _ in 0..=link.copies {
+                    if ref_rng.gen_bool(link.loss) {
+                        continue;
+                    }
+                    let delay = ref_rng.gen_range(0..=link.jitter);
+                    reference.insert((round + 1 + delay, ref_id), seq);
+                    ref_id += 1;
+                }
+            }
+        }
+        assert!(reference.is_empty());
+        assert_eq!(delivered as u64, ref_id, "every sent copy delivered once");
+        assert!(wire.buckets.len() <= 2 + link.jitter as usize);
     }
 
     #[test]

@@ -49,6 +49,12 @@
 //! end of run — the fleet analogue of the single-node
 //! [`crate::faults::SegmentLedger`].
 //!
+//! An independent audit checks the windows: every fresh admit sets bit
+//! `seq` in a per-node bitset, and one that finds its bit already set
+//! counts a double delivery ([`CloudHub::double_deliveries`]). Sequence
+//! numbers are dense journal indices, so the audit costs one bit per
+//! segment a node ever delivered and O(1) per admit.
+//!
 //! # Determinism
 //!
 //! The hub never iterates hash maps into observable state, shard-parallel
@@ -59,11 +65,11 @@
 //! widths, and each node's sub-trace ([`HubTrace::for_node`]) is identical
 //! across fleet sizes.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use crate::archive::{EdgeArchive, FetchError};
 use crate::events::McId;
-use crate::query::Query;
+use crate::query::{Query, MAX_QUERY_DEPTH};
 use ff_obs::{Counter, Registry, Span, SpanTracer};
 use ff_video::Frame;
 
@@ -185,8 +191,15 @@ impl DedupWindow {
             self.out_of_window += 1;
             return Admit::OutOfWindow;
         }
-        self.recent.insert(seq);
-        while self.recent.remove(&self.low) {
+        // Everything in `recent` lies above the watermark, so an in-order
+        // arrival only moves the watermark.
+        if seq == self.low {
+            self.low += 1;
+        } else {
+            self.recent.insert(seq);
+        }
+        while self.recent.first() == Some(&self.low) {
+            self.recent.pop_first();
             self.low += 1;
         }
         Admit::Fresh
@@ -586,7 +599,7 @@ pub enum RolloutOutcome {
 // ---------------------------------------------------------------------------
 
 /// Why a hub operation failed.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HubError {
     /// The node id was never registered with this hub.
     UnknownNode {
@@ -600,6 +613,12 @@ pub enum HubError {
     },
     /// A subscription query references no MC (it could never match).
     EmptyQuery,
+    /// A subscription query nests operators deeper than
+    /// [`MAX_QUERY_DEPTH`], the cap [`Query::from_wire`] also applies.
+    QueryTooDeep {
+        /// The query's operator nesting depth.
+        depth: usize,
+    },
     /// The node's archive refused the fetch.
     Fetch(FetchError),
 }
@@ -610,6 +629,10 @@ impl std::fmt::Display for HubError {
             HubError::UnknownNode { node } => write!(f, "{node} is not registered"),
             HubError::NoArchive { node } => write!(f, "{node} has no archive attached"),
             HubError::EmptyQuery => write!(f, "subscription query references no MC"),
+            HubError::QueryTooDeep { depth } => write!(
+                f,
+                "subscription query nests {depth} operators deep (at most {MAX_QUERY_DEPTH})"
+            ),
             HubError::Fetch(e) => write!(f, "archive fetch failed: {e}"),
         }
     }
@@ -641,10 +664,35 @@ pub struct Subscription {
     pub deliveries: u64,
 }
 
+/// The delivery audit's record of one node: bit `seq` is set once the
+/// segment `seq` has reached the subscribers. Sequence numbers are dense
+/// journal indices, so one bit per segment covers a node's whole history;
+/// the words grow on demand, so a node that never delivers holds none.
+#[derive(Debug, Default)]
+struct DeliveredSeqs {
+    words: Vec<u64>,
+}
+
+impl DeliveredSeqs {
+    /// Marks `seq` delivered; `false` if it already was.
+    fn insert(&mut self, seq: u64) -> bool {
+        let word = (seq / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (seq % 64);
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+}
+
 #[derive(Debug)]
 struct HubNodeState {
     dedup: DedupWindow,
     accepted: Counter,
+    /// Segments delivered to subscribers: the double-delivery audit.
+    delivered: DeliveredSeqs,
     archive: Option<EdgeArchive>,
 }
 
@@ -656,9 +704,9 @@ struct HubNodeState {
 pub struct CloudHub {
     nodes: Vec<HubNodeState>,
     subs: Vec<Subscription>,
-    /// (node, seq) pairs ever delivered to subscribers — membership only,
-    /// never iterated, so determinism is untouched.
-    delivered_keys: HashSet<(usize, u64)>,
+    /// Fresh admits whose `(node, seq)` the delivery audit had already
+    /// seen. The audit is a per-node bitset kept apart from the dedup
+    /// windows, so a window that admitted a seq twice would show here.
     double_deliveries: Counter,
     accepted: Counter,
     /// Every arrival the hub saw (fresh + duplicate + out-of-window),
@@ -686,7 +734,6 @@ impl CloudHub {
         CloudHub {
             nodes: Vec::new(),
             subs: Vec::new(),
-            delivered_keys: HashSet::new(),
             double_deliveries: Counter::new(),
             accepted: Counter::new(),
             ingested: Counter::new(),
@@ -759,6 +806,7 @@ impl CloudHub {
         self.nodes.push(HubNodeState {
             dedup: DedupWindow::new(self.dedup_cap),
             accepted,
+            delivered: DeliveredSeqs::default(),
             archive: None,
         });
         id
@@ -774,8 +822,15 @@ impl CloudHub {
     ///
     /// # Errors
     ///
-    /// [`HubError::EmptyQuery`] if the query references no MC.
+    /// [`HubError::QueryTooDeep`] if operators nest deeper than
+    /// [`MAX_QUERY_DEPTH`] (checked without recursion, before anything
+    /// walks the tree recursively), and [`HubError::EmptyQuery`] if the
+    /// query references no MC.
     pub fn subscribe(&mut self, query: Query) -> Result<SubId, HubError> {
+        let depth = query.depth();
+        if depth > MAX_QUERY_DEPTH {
+            return Err(HubError::QueryTooDeep { depth });
+        }
         if query.referenced_mcs().is_empty() {
             return Err(HubError::EmptyQuery);
         }
@@ -946,8 +1001,9 @@ impl CloudHub {
             return;
         }
         self.accepted.inc();
-        self.nodes[seg.node.0].accepted.inc();
-        if !self.delivered_keys.insert((seg.node.0, seg.seq)) {
+        let node = &mut self.nodes[seg.node.0];
+        node.accepted.inc();
+        if !node.delivered.insert(seg.seq) {
             self.double_deliveries.inc();
         }
         for sub in &mut self.subs {
@@ -1151,6 +1207,79 @@ mod tests {
             hub.fetch_context(n, 0, 5).unwrap_err(),
             HubError::NoArchive { node: n }
         );
+    }
+
+    #[test]
+    fn delivery_audit_counts_every_repeated_fresh_admit() {
+        // The audit must stand apart from the dedup windows: hand the
+        // merge step a fresh verdict twice for the same (node, seq), as a
+        // window that admitted a seq twice would, and every repeat counts.
+        // Seqs 63 and 64 sit on either side of a bitset word boundary,
+        // 10 000 lies far past the words grown so far, and node 7 has
+        // delivered nothing before it (its bitset starts empty).
+        let mut hub = CloudHub::new(4);
+        for _ in 0..8 {
+            hub.register_node();
+        }
+        let mut repeats = 0;
+        for (node, seq) in [(0, 0), (0, 63), (0, 64), (0, 10_000), (7, 10_000)] {
+            let s = seg(node, seq, &[0]);
+            hub.apply_fresh(&s, Admit::Fresh);
+            assert_eq!(hub.double_deliveries(), repeats, "first {node}/{seq}");
+            hub.apply_fresh(&s, Admit::Fresh);
+            repeats += 1;
+            assert_eq!(hub.double_deliveries(), repeats, "repeat {node}/{seq}");
+            // Duplicate verdicts never reach the audit.
+            hub.apply_fresh(&s, Admit::Duplicate);
+            assert_eq!(hub.double_deliveries(), repeats, "dup {node}/{seq}");
+        }
+        // Neighbouring seqs and other nodes' seqs are still unseen.
+        for (node, seq) in [(0, 1), (0, 62), (0, 65), (0, 9_999), (1, 0), (7, 0)] {
+            hub.apply_fresh(&seg(node, seq, &[0]), Admit::Fresh);
+        }
+        assert_eq!(hub.double_deliveries(), repeats);
+        assert_eq!(hub.accepted(), 2 * repeats + 6);
+    }
+
+    #[test]
+    fn subscribe_refuses_deep_queries_within_a_small_stack() {
+        // 100 000 nested `not()` built through the API (no parser cap in
+        // the way). On a 256 KiB thread `subscribe` must refuse the query
+        // with a typed error, and the tree must drop, without recursing
+        // once per level.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut hub = CloudHub::new(4);
+                let mut deep = Query::mc(McId(0));
+                for _ in 0..100_000 {
+                    deep = deep.not();
+                }
+                let err = hub.subscribe(deep).unwrap_err();
+                assert_eq!(err, HubError::QueryTooDeep { depth: 100_000 });
+                assert!(err.to_string().contains("100000 operators deep"));
+                // Binary operators nest on both sides; dropping this tree
+                // outside `subscribe` must not overflow either.
+                let mut wide = Query::mc(McId(1));
+                for i in 0..100_000 {
+                    wide = if i % 2 == 0 {
+                        wide.and(Query::mc(McId(2)))
+                    } else {
+                        Query::mc(McId(3)).or(wide)
+                    };
+                }
+                assert_eq!(wide.depth(), 100_000);
+                drop(wide);
+                // At the cap a query is accepted.
+                let mut at_cap = Query::mc(McId(0));
+                for _ in 0..MAX_QUERY_DEPTH {
+                    at_cap = at_cap.not();
+                }
+                assert!(hub.subscribe(at_cap).is_ok());
+            })
+            .expect("spawn subscriber thread")
+            .join()
+            .expect("deep queries neither overflow nor panic");
     }
 
     #[test]

@@ -58,6 +58,26 @@ impl Query {
         }
     }
 
+    /// Operator nesting depth: the most operators on any path from the
+    /// root to a leaf (a bare `mc:ID` is 0). Walks the tree with an
+    /// explicit stack, so it is safe on trees of any depth — check it
+    /// against [`MAX_QUERY_DEPTH`] before calling anything recursive.
+    pub fn depth(&self) -> usize {
+        let mut deepest = 0;
+        let mut stack = vec![(self, 0)];
+        while let Some((q, d)) = stack.pop() {
+            match q {
+                Query::Mc(_) => deepest = deepest.max(d),
+                Query::And(a, b) | Query::Or(a, b) => {
+                    stack.push((a, d + 1));
+                    stack.push((b, d + 1));
+                }
+                Query::Not(a) => stack.push((a, d + 1)),
+            }
+        }
+        deepest
+    }
+
     /// Every MC the query references (deployment-time validation).
     pub fn referenced_mcs(&self) -> Vec<McId> {
         let mut out = Vec::new();
@@ -125,6 +145,37 @@ impl Query {
             return Err(QueryParseError::TrailingInput { at });
         }
         Ok(q)
+    }
+}
+
+/// Tears the tree down with an explicit stack: the derived drop glue
+/// recurses once per level and would overflow the stack on a deep tree
+/// built through the API (`from_wire` caps the depth; `not()` does not).
+impl Drop for Query {
+    fn drop(&mut self) {
+        let mut stack = Vec::new();
+        detach_children(self, &mut stack);
+        while let Some(mut q) = stack.pop() {
+            detach_children(&mut q, &mut stack);
+        }
+    }
+}
+
+/// Moves `q`'s operator children onto `stack`, leaving leaves in their
+/// place, so dropping `q` itself recurses at most one level.
+fn detach_children(q: &mut Query, stack: &mut Vec<Query>) {
+    let mut detach = |child: &mut Box<Query>| {
+        if !matches!(**child, Query::Mc(_)) {
+            stack.push(std::mem::replace(&mut **child, Query::Mc(McId(0))));
+        }
+    };
+    match q {
+        Query::Mc(_) => {}
+        Query::And(a, b) | Query::Or(a, b) => {
+            detach(a);
+            detach(b);
+        }
+        Query::Not(a) => detach(a),
     }
 }
 
@@ -420,6 +471,17 @@ mod tests {
         // Errors are typed and displayable, PR 6 convention.
         let err: Box<dyn std::error::Error> = Box::new(Query::from_wire("not()").unwrap_err());
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn depth_counts_operators_on_the_longest_path() {
+        let a = || Query::mc(McId(0));
+        assert_eq!(a().depth(), 0);
+        assert_eq!(a().not().depth(), 1);
+        assert_eq!(a().and(a().or(a().not())).depth(), 3);
+        assert_eq!(a().not().not().or(a()).depth(), 3);
+        let parsed = Query::from_wire(&nested_nots(MAX_QUERY_DEPTH)).unwrap();
+        assert_eq!(parsed.depth(), MAX_QUERY_DEPTH);
     }
 
     fn nested_nots(levels: usize) -> String {
