@@ -676,7 +676,9 @@ struct DeliveredSeqs {
 impl DeliveredSeqs {
     /// Marks `seq` delivered; `false` if it already was.
     fn insert(&mut self, seq: u64) -> bool {
-        let word = (seq / 64) as usize;
+        // A fresh seq is at most the node's admitted count plus its dedup
+        // window, so the words stay proportional to the segments delivered.
+        let word = usize::try_from(seq / 64).expect("fresh seq within the dedup window");
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
         }
